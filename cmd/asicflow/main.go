@@ -16,7 +16,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -114,7 +113,7 @@ func emitJSON(circuit, libName string, stages int, dieMM float64, seed int64) {
 	if !ok {
 		fail(fmt.Errorf("unknown library %q", libName))
 	}
-	res, err := jobs.RunService(context.Background(), jobs.Spec{
+	st, err := jobs.RunService(context.Background(), jobs.Spec{
 		Kind:        jobs.KindEvaluate,
 		Design:      design,
 		Methodology: jobs.MethSpec{Base: base, Stages: stages, DieSideMM: dieMM},
@@ -123,9 +122,7 @@ func emitJSON(circuit, libName string, stages int, dieMM float64, seed int64) {
 	if err != nil {
 		fail(err)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
+	if _, err := os.Stdout.Write(append(st.Body, '\n')); err != nil {
 		fail(err)
 	}
 }

@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,7 +30,7 @@ func main() {
 	flag.Parse()
 
 	if *asJSON {
-		res, err := jobs.RunService(context.Background(), jobs.Spec{
+		st, err := jobs.RunService(context.Background(), jobs.Spec{
 			Kind:   jobs.KindLadder,
 			Design: jobs.DesignSpec{Name: "datapath", Width: *width, Depth: *depth},
 			Seed:   *seed,
@@ -40,9 +39,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gapreport:", err)
 			os.Exit(1)
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		if _, err := os.Stdout.Write(append(st.Body, '\n')); err != nil {
 			fmt.Fprintln(os.Stderr, "gapreport:", err)
 			os.Exit(1)
 		}

@@ -15,7 +15,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,7 +37,7 @@ func main() {
 	flag.Parse()
 
 	if *asJSON {
-		res, err := jobs.RunService(context.Background(), jobs.Spec{
+		st, err := jobs.RunService(context.Background(), jobs.Spec{
 			Kind:        jobs.KindSweep,
 			Design:      jobs.DesignSpec{Name: "datapath", Width: *width, Depth: *depth},
 			Methodology: jobs.MethSpec{Base: "best-practice"},
@@ -50,9 +49,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pipesweep:", err)
 			os.Exit(1)
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		if _, err := os.Stdout.Write(append(st.Body, '\n')); err != nil {
 			fmt.Fprintln(os.Stderr, "pipesweep:", err)
 			os.Exit(1)
 		}

@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -121,18 +120,15 @@ func emitJSON(lines []struct {
 		tables[key+".frac"] = b.Frac
 	}
 
-	res := jobs.Result{
-		Kind:     jobs.KindProcvar,
-		Spec:     jobs.Spec{Kind: jobs.KindProcvar, Seed: seed},
-		Tables:   tables,
-		Attempts: 1,
-		// procvar runs in-process (no pool), so its service counters are
-		// structurally present but zero — consumers get a stable envelope.
-		Service: &jobs.ServiceCounters{},
+	st, err := jobs.Encode(&jobs.Result{
+		Kind:   jobs.KindProcvar,
+		Spec:   jobs.Spec{Kind: jobs.KindProcvar, Seed: seed},
+		Tables: tables,
+	})
+	if err == nil {
+		_, err = os.Stdout.Write(append(st.Body, '\n'))
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "procmc:", err)
 		os.Exit(1)
 	}

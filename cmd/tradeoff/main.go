@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +36,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tradeoff: unknown flow %q\n", *flow)
 			os.Exit(1)
 		}
-		res, err := jobs.RunService(context.Background(), jobs.Spec{
+		st, err := jobs.RunService(context.Background(), jobs.Spec{
 			Kind:        jobs.KindSweep,
 			Design:      jobs.DesignSpec{Name: "datapath", Width: 16, Depth: 4},
 			Methodology: jobs.MethSpec{Base: base},
@@ -49,9 +48,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tradeoff:", err)
 			os.Exit(1)
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		if _, err := os.Stdout.Write(append(st.Body, '\n')); err != nil {
 			fmt.Fprintln(os.Stderr, "tradeoff:", err)
 			os.Exit(1)
 		}

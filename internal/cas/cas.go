@@ -449,14 +449,22 @@ func (s *Store) Get(addr string) ([]byte, bool) {
 // exactly once and a repair path (replica fetch or recompute) can
 // re-Put under the same address.
 func (s *Store) GetE(addr string) ([]byte, error) {
+	rec, err := s.GetRecord(addr)
+	return rec.Body, err
+}
+
+// GetRecord is GetE returning the whole verified record, so a caller
+// that needs the body's SHA-256 takes the digest the read just checked
+// instead of hashing the body again.
+func (s *Store) GetRecord(addr string) (Record, error) {
 	if s == nil {
-		return nil, ErrNotFound
+		return Record{}, ErrNotFound
 	}
 	s.mu.Lock()
 	loc, ok := s.index[addr]
 	if !ok {
 		s.mu.Unlock()
-		return nil, ErrNotFound
+		return Record{}, ErrNotFound
 	}
 	seg := s.segs[loc.seg]
 	r := seg.r
@@ -466,7 +474,7 @@ func (s *Store) GetE(addr string) ([]byte, error) {
 	if _, err := r.ReadAt(buf, loc.off); err != nil {
 		err = fmt.Errorf("cas: read seg %d off %d: %w", loc.seg, loc.off, err)
 		s.dropCorrupt(addr, loc, err)
-		return nil, err
+		return Record{}, err
 	}
 	rec, _, err := DecodeRecord(buf)
 	if err == nil && rec.Addr != addr {
@@ -474,9 +482,9 @@ func (s *Store) GetE(addr string) ([]byte, error) {
 	}
 	if err != nil {
 		s.dropCorrupt(addr, loc, err)
-		return nil, err
+		return Record{}, err
 	}
-	return rec.Body, nil
+	return rec, nil
 }
 
 // Has reports whether addr is indexed (without reading the body).

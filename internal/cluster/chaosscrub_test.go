@@ -234,13 +234,13 @@ func TestChaosScrubReadRepair(t *testing.T) {
 			// Phase 4: re-submission through the owner must repair from the
 			// replica — byte-identical answers, zero recomputes.
 			for _, spec := range specs {
-				res := submit(t, owners[spec.Hash()], spec)
+				res, by := submitServed(t, owners[spec.Hash()], spec)
 				if got, want := normalizedJSON(t, res), ref[res.ID]; !bytes.Equal(got, want) {
 					t.Errorf("%s: post-repair result differs from serial reference\n got: %s\nwant: %s",
 						spec.Kind, got, want)
 				}
-				if !res.Cached {
-					t.Errorf("%s: repaired result not served as a hit", spec.Kind)
+				if by != jobs.ServedRepair {
+					t.Errorf("%s: repaired result served by %q, want repair", spec.Kind, by)
 				}
 			}
 
@@ -341,9 +341,8 @@ func TestReadRepairNoReplicaRecomputesOnce(t *testing.T) {
 	}
 
 	// The healed store serves the third submission without computing.
-	res3 := submit(t, nd, spec)
-	if !res3.Cached {
-		t.Error("healed record not served as a hit")
+	if _, by := submitServed(t, nd, spec); by != jobs.ServedCAS {
+		t.Errorf("healed record served by %q, want a cas hit", by)
 	}
 	if d := nd.pool.Metrics().JobsStarted.Load() - started; d != 1 {
 		t.Errorf("JobsStarted delta = %d after heal, want still 1", d)

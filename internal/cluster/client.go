@@ -27,6 +27,22 @@ const maxPeerResponse = 8 << 20
 // instead of being served as a wrong answer.
 const DigestHeader = "X-Gapd-Result-Digest"
 
+// A result response's body is the result's stored bytes, identical for
+// every response to one content address; what differs between responses
+// travels in these headers instead.
+const (
+	// ServedByHeader names the path that produced the answer on the node
+	// that sent it: ram, cas, repair, join, compute, or forward (see
+	// jobs.Provenance).
+	ServedByHeader = "X-Gapd-Served-By"
+	// AttemptsHeader counts the pool attempts behind a computed or
+	// joined answer; absent when the answer was already stored.
+	AttemptsHeader = "X-Gapd-Attempts"
+	// ElapsedHeader is the wall-clock milliseconds the sending node
+	// spent on the request.
+	ElapsedHeader = "X-Gapd-Elapsed-Ms"
+)
+
 // DeadlineHeader carries the caller's absolute deadline (RFC3339Nano)
 // across a forward hop. Each hop shrinks it by the configured margin
 // before re-forwarding, and the receiving node enforces it at admission
@@ -76,14 +92,15 @@ func bodyDigest(b []byte) string {
 }
 
 // decodePeerResponse turns one peer reply (status, digest header, raw
-// body) into a result or a taxonomy-classified error. It is a pure
-// function of its inputs — the fuzz target FuzzPeerResponseDecode
-// drives it directly. Verification order: the digest first (nothing
-// from a corrupt body is trusted, not even its error envelope), then
-// the status-code mapping, then the payload's content address against
-// expectID (when non-empty), so a confused peer cannot answer with the
-// wrong job's result.
-func decodePeerResponse(peer string, status int, digest string, body []byte, expectID string) (*jobs.Result, error) {
+// body) into the peer's stored bytes, to be relayed verbatim under the
+// peer's digest, or a taxonomy-classified error. It is a pure function
+// of its inputs — the fuzz target FuzzPeerResponseDecode drives it
+// directly. Verification order: the digest first (nothing from a
+// corrupt body is trusted, not even its error envelope), then the
+// status-code mapping, then the body's decoded id against expectID
+// (when non-empty), so a confused peer cannot answer with the wrong
+// job's result. Only the id is decoded; nothing is re-encoded.
+func decodePeerResponse(peer string, status int, digest string, body []byte, expectID string) (*jobs.Stored, error) {
 	if digest != "" && bodyDigest(body) != digest {
 		return nil, &PeerError{Peer: peer, Status: status,
 			Msg: "response bytes do not match their digest", err: ErrCorruptReply}
@@ -107,17 +124,12 @@ func decodePeerResponse(peer string, status int, digest string, body []byte, exp
 		// rendezvous order or computes locally.
 		return nil, peerUnavailable(peer, status, msg)
 	}
-	var res jobs.Result
-	if err := json.Unmarshal(body, &res); err != nil {
+	st, err := jobs.FromBytes(body, digest, expectID)
+	if err != nil {
 		return nil, &PeerError{Peer: peer, Status: status,
-			Msg: "undecodable response: " + err.Error(), err: ErrCorruptReply}
+			Msg: "unusable response: " + err.Error(), err: ErrCorruptReply}
 	}
-	if expectID != "" && res.ID != expectID {
-		return nil, &PeerError{Peer: peer, Status: status,
-			Msg: fmt.Sprintf("response is for %.12s, asked for %.12s", res.ID, expectID),
-			err: ErrCorruptReply}
-	}
-	return &res, nil
+	return st, nil
 }
 
 // setDeadlineHeader stamps ctx's deadline, shrunk by the per-hop
@@ -135,7 +147,7 @@ func (c *Cluster) setDeadlineHeader(ctx context.Context, req *http.Request) {
 // doRequest proxies one spec to one peer and maps the outcome onto the
 // jobs error taxonomy, verifying the response digest and content
 // address before trusting the payload.
-func (c *Cluster) doRequest(ctx context.Context, p Peer, path string, body []byte, expectID string) (*jobs.Result, error) {
+func (c *Cluster) doRequest(ctx context.Context, p Peer, path string, body []byte, expectID string) (*jobs.Stored, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.reqTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, p.URL+path, bytes.NewReader(body))
@@ -177,7 +189,7 @@ func (c *Cluster) doRequest(ctx context.Context, p Peer, path string, body []byt
 // caller's deadline is pure load. When every target is unavailable, the
 // first availability error is returned wrapping jobs.ErrPeerUnavailable
 // — the caller's cue to compute locally.
-func (c *Cluster) Forward(ctx context.Context, path string, spec jobs.Spec, rt Route) (*jobs.Result, error) {
+func (c *Cluster) Forward(ctx context.Context, path string, spec jobs.Spec, rt Route) (*jobs.Stored, error) {
 	if len(rt.Targets) == 0 {
 		return nil, peerUnavailable(rt.Owner, 0, "no usable peer")
 	}
@@ -191,7 +203,7 @@ func (c *Cluster) Forward(ctx context.Context, path string, spec jobs.Spec, rt R
 
 	type attempt struct {
 		peer Peer
-		res  *jobs.Result
+		res  *jobs.Stored
 		err  error
 	}
 	out := make(chan attempt, len(rt.Targets))

@@ -144,11 +144,11 @@ type Options struct {
 }
 
 // ResultStore is the completed-result view replication reads from:
-// enumerate the content addresses this node holds and fetch one by
-// address. *jobs.Cache satisfies it.
+// enumerate the content addresses this node holds and fetch one's
+// stored bytes by address. *jobs.StoredView satisfies it.
 type ResultStore interface {
 	Keys() []string
-	Get(id string) (*jobs.Result, bool)
+	Get(id string) (*jobs.Stored, bool)
 }
 
 // ringView is one immutable generation of the ownership view: the ring

@@ -55,6 +55,8 @@ type node struct {
 	abortedDelays atomic.Int64
 	// healthz503 makes the node's /healthz report degraded.
 	healthz503 atomic.Bool
+	// puts counts replica pushes (PUT requests) the node received.
+	puts atomic.Int64
 }
 
 func (n *node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -65,6 +67,9 @@ func (n *node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
 	h := n.inner
 	n.mu.Unlock()
+	if r.Method == http.MethodPut {
+		n.puts.Add(1)
+	}
 	if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/") {
 		if d := n.delayPosts.Load(); d > 0 {
 			// Drain the body first: the server's client-disconnect watcher
@@ -218,6 +223,14 @@ func serialReference(t *testing.T, specs []jobs.Spec) map[string][]byte {
 // result, exactly as an external client would.
 func submit(t *testing.T, nd *node, spec jobs.Spec) *jobs.Result {
 	t.Helper()
+	res, _ := submitServed(t, nd, spec)
+	return res
+}
+
+// submitServed is submit also returning the answering node's
+// X-Gapd-Served-By provenance.
+func submitServed(t *testing.T, nd *node, spec jobs.Spec) (*jobs.Result, jobs.Provenance) {
+	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +247,7 @@ func submit(t *testing.T, nd *node, spec jobs.Spec) *jobs.Result {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s via node %s: status %d", spec.Kind, nd.id, resp.StatusCode)
 	}
-	return &res
+	return &res, jobs.Provenance(resp.Header.Get(cluster.ServedByHeader))
 }
 
 // TestChaosClusterOwnerKill is the sharding acceptance test for the
@@ -355,13 +368,16 @@ func TestForwardingWarmsOwnerCache(t *testing.T) {
 	owner := byID(t, nodes, nodes[0].clu.Ring().Owner(spec.Hash()))
 	entry := otherThan(nodes, owner)
 
-	res := submit(t, entry, spec)
-	if res.Cached {
-		t.Error("first submission reported cached")
+	res, by := submitServed(t, entry, spec)
+	if by != jobs.ServedForward {
+		t.Errorf("first submission served by %q, want forward", by)
 	}
-	res2 := submit(t, entry, spec)
-	if !res2.Cached {
-		t.Error("second forwarded submission missed the owner's cache")
+	res2, by2 := submitServed(t, entry, spec)
+	if by2 != jobs.ServedForward {
+		t.Errorf("second submission served by %q, want forward", by2)
+	}
+	if hits, started := owner.pool.Metrics().CacheHits.Load(), owner.pool.Metrics().JobsStarted.Load(); hits != 1 || started != 1 {
+		t.Errorf("owner cache hits %d, jobs started %d; want the second forward answered from the owner's cache", hits, started)
 	}
 	if res2.ID != res.ID {
 		t.Errorf("ids differ: %s vs %s", res.ID, res2.ID)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -19,6 +20,8 @@ import (
 //     result (integrity beats parsability);
 //   - a returned result's ID always equals the requested content
 //     address when one was given;
+//   - a returned result is the body verbatim under the body's digest:
+//     the relay never re-encodes what the peer sent;
 //   - every error is classified: terminal spec verdict, corrupt reply,
 //     or peer-unavailable — all of which wrap the jobs taxonomy.
 func FuzzPeerResponseDecode(f *testing.F) {
@@ -47,6 +50,9 @@ func FuzzPeerResponseDecode(f *testing.F) {
 			}
 			if expectID != "" && res.ID != expectID {
 				t.Fatalf("result id %q escaped the expectID %q check", res.ID, expectID)
+			}
+			if !bytes.Equal(res.Body, body) || res.Digest != bodyDigest(body) {
+				t.Fatal("relayed bytes or digest differ from the peer's body")
 			}
 			return
 		}

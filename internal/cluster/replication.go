@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -57,24 +56,20 @@ func (c *Cluster) rankTargets(hash string, n int) []Peer {
 	return out
 }
 
-// pushResult PUTs one normalized result to one peer, digest-stamped so
-// the receiver can verify the bytes before storing. Returns whether the
-// receiver newly created the replica (201) as opposed to already
-// holding it (200).
-func (c *Cluster) pushResult(ctx context.Context, p Peer, res *jobs.Result) (created bool, err error) {
-	body, err := json.Marshal(res.Normalized())
-	if err != nil {
-		return false, err
-	}
+// pushResult PUTs one result's stored bytes to one peer, stamped with
+// their digest so the receiver can verify them before storing. Returns
+// whether the receiver newly created the replica (201) as opposed to
+// already holding it (200).
+func (c *Cluster) pushResult(ctx context.Context, p Peer, st *jobs.Stored) (created bool, err error) {
 	rctx, cancel := context.WithTimeout(ctx, c.reqTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPut,
-		p.URL+ResultsPath+"/"+res.ID, bytes.NewReader(body))
+		p.URL+ResultsPath+"/"+st.ID, bytes.NewReader(st.Body))
 	if err != nil {
 		return false, peerUnavailable(p.ID, 0, err.Error())
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(DigestHeader, bodyDigest(body))
+	req.Header.Set(DigestHeader, st.Digest)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return false, peerUnavailable(p.ID, 0, err.Error())
@@ -95,7 +90,7 @@ func (c *Cluster) pushResult(ctx context.Context, p Peer, res *jobs.Result) (cre
 // (best effort — a peer that is down simply misses the push and is
 // healed later by anti-entropy). Meant to be called asynchronously
 // after local completion; it never blocks the response path.
-func (c *Cluster) Replicate(ctx context.Context, res *jobs.Result) {
+func (c *Cluster) Replicate(ctx context.Context, res *jobs.Stored) {
 	if res == nil || res.ID == "" {
 		return
 	}
@@ -118,7 +113,7 @@ func (c *Cluster) Replicate(ctx context.Context, res *jobs.Result) {
 // cheap cache lookups that bypass admission, and a peer too loaded to
 // accept work can still answer one. Returns (nil, false) when no peer
 // holds the result — the caller computes locally.
-func (c *Cluster) FetchResult(ctx context.Context, hash string) (*jobs.Result, bool) {
+func (c *Cluster) FetchResult(ctx context.Context, hash string) (*jobs.Stored, bool) {
 	for _, p := range c.replicaTargets(hash) {
 		res, err := c.fetchFrom(ctx, p, hash)
 		if err != nil || res == nil {
@@ -132,7 +127,7 @@ func (c *Cluster) FetchResult(ctx context.Context, hash string) (*jobs.Result, b
 
 // fetchFrom GETs one result from one peer; (nil, nil) means the peer
 // answered but does not hold it.
-func (c *Cluster) fetchFrom(ctx context.Context, p Peer, hash string) (*jobs.Result, error) {
+func (c *Cluster) fetchFrom(ctx context.Context, p Peer, hash string) (*jobs.Stored, error) {
 	rctx, cancel := context.WithTimeout(ctx, c.reqTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet, p.URL+ResultsPath+"/"+hash, nil)
@@ -168,7 +163,7 @@ func (c *Cluster) fetchFrom(ctx context.Context, p Peer, hash string) (*jobs.Res
 // decode to the requested content address; the pool re-verifies the
 // spec hash and re-Puts the body locally, which clears the store's
 // quarantine. Each successful fetch counts cluster_read_repaired.
-func (c *Cluster) ReadRepair(ctx context.Context, hash string) (*jobs.Result, bool) {
+func (c *Cluster) ReadRepair(ctx context.Context, hash string) (*jobs.Stored, bool) {
 	res, ok := c.FetchResult(ctx, hash)
 	if ok {
 		c.metrics.ReadRepaired.Add(1)

@@ -7,8 +7,9 @@ import (
 
 // Cache is a content-addressed LRU result cache: keys are canonical spec
 // hashes, so two jobs that describe the same flow evaluation — however
-// phrased — share one entry and the second is never recomputed. Safe for
-// concurrent use.
+// phrased — share one entry and the second is never recomputed. Entries
+// are stored results (bytes plus digest), so a hit is served without an
+// encode. Safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -22,7 +23,7 @@ type Cache struct {
 
 type cacheEntry struct {
 	key string
-	res *Result
+	st  *Stored
 }
 
 // NewCache creates a cache holding up to capacity results. A capacity
@@ -36,7 +37,7 @@ func NewCache(capacity int) *Cache {
 }
 
 // Get returns the cached result for key, marking it most recently used.
-func (c *Cache) Get(key string) (*Result, bool) {
+func (c *Cache) Get(key string) (*Stored, bool) {
 	if c == nil || c.cap <= 0 {
 		return nil, false
 	}
@@ -47,20 +48,20 @@ func (c *Cache) Get(key string) (*Result, bool) {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).st, true
 }
 
 // Put stores the result under key, evicting the least recently used
 // entry when full. The cache takes shared ownership: callers must not
-// mutate res afterwards.
-func (c *Cache) Put(key string, res *Result) {
-	if c == nil || c.cap <= 0 || res == nil {
+// mutate st afterwards.
+func (c *Cache) Put(key string, st *Stored) {
+	if c == nil || c.cap <= 0 || st == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*cacheEntry).st = st
 		c.order.MoveToFront(el)
 		return
 	}
@@ -70,7 +71,7 @@ func (c *Cache) Put(key string, res *Result) {
 			return // the victim is hotter; the candidate stays disk-only
 		}
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, st: st})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)

@@ -4,12 +4,12 @@ import "testing"
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", &Result{ID: "a"})
-	c.Put("b", &Result{ID: "b"})
+	c.Put("a", &Stored{ID: "a"})
+	c.Put("b", &Stored{ID: "b"})
 	if _, ok := c.Get("a"); !ok { // touch a -> b is now LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", &Result{ID: "c"}) // evicts b
+	c.Put("c", &Stored{ID: "c"}) // evicts b
 	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
@@ -26,7 +26,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	c := NewCache(0)
-	c.Put("a", &Result{ID: "a"})
+	c.Put("a", &Stored{ID: "a"})
 	if _, ok := c.Get("a"); ok {
 		t.Error("disabled cache returned a hit")
 	}
@@ -37,10 +37,10 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestCacheOverwrite(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", &Result{ID: "a", ElapsedMS: 1})
-	c.Put("a", &Result{ID: "a", ElapsedMS: 2})
+	c.Put("a", &Stored{ID: "a", Body: []byte("1")})
+	c.Put("a", &Stored{ID: "a", Body: []byte("2")})
 	r, ok := c.Get("a")
-	if !ok || r.ElapsedMS != 2 {
+	if !ok || string(r.Body) != "2" {
 		t.Errorf("overwrite lost: %+v ok=%v", r, ok)
 	}
 	if c.Len() != 1 {

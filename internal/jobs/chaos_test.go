@@ -103,13 +103,13 @@ func TestChaosExactUnderFaults(t *testing.T) {
 			})
 
 			var wg sync.WaitGroup
-			results := make([]*Result, len(specs))
+			answers := make([]Answer, len(specs))
 			errs := make([]error, len(specs))
 			for i, s := range specs {
 				wg.Add(1)
 				go func(i int, s Spec) {
 					defer wg.Done()
-					results[i], errs[i] = p.Do(context.Background(), s)
+					answers[i], errs[i] = p.Serve(context.Background(), s)
 				}(i, s)
 			}
 			wg.Wait()
@@ -118,10 +118,10 @@ func TestChaosExactUnderFaults(t *testing.T) {
 				if err != nil {
 					t.Fatalf("spec %d (%s) failed under chaos: %v", i, specs[i].Kind, err)
 				}
-				got := normalizedJSON(t, results[i])
-				want, ok := ref[results[i].ID]
+				got := answers[i].Body
+				want, ok := ref[answers[i].ID]
 				if !ok {
-					t.Fatalf("spec %d returned unknown id %s", i, results[i].ID)
+					t.Fatalf("spec %d returned unknown id %s", i, answers[i].ID)
 				}
 				if !bytes.Equal(got, want) {
 					t.Errorf("spec %d (%s): chaos result differs from serial reference\n got: %s\nwant: %s",
@@ -141,8 +141,8 @@ func TestChaosExactUnderFaults(t *testing.T) {
 			// Every injected fault must be accounted for as a retry —
 			// attempts minus retries is one run per job.
 			totalAttempts := int64(0)
-			for _, res := range results {
-				totalAttempts += int64(res.Attempts)
+			for _, a := range answers {
+				totalAttempts += int64(a.Attempts)
 			}
 			if totalAttempts != int64(len(specs))+m.JobsRetried.Load() {
 				t.Errorf("attempts %d != jobs %d + retries %d",
@@ -154,12 +154,12 @@ func TestChaosExactUnderFaults(t *testing.T) {
 				t.Errorf("cache entries = %d, want %d", p.Cache().Len(), len(specs))
 			}
 			for id, want := range ref {
-				res, ok := p.Cache().Get(id)
+				st, ok := p.Cache().Get(id)
 				if !ok {
 					t.Errorf("cache missing %s", id[:12])
 					continue
 				}
-				if !bytes.Equal(normalizedJSON(t, res), want) {
+				if !bytes.Equal(st.Body, want) {
 					t.Errorf("cache entry %s differs from reference", id[:12])
 				}
 			}
@@ -285,12 +285,12 @@ func TestWatchdogErrorRequeues(t *testing.T) {
 		}
 		return &Result{ID: c.Hash(), Kind: c.Kind, Spec: c}, nil
 	}
-	res, err := p.Do(context.Background(), smallEval(1))
+	a, err := p.Serve(context.Background(), smallEval(1))
 	if err != nil {
 		t.Fatalf("requeued job failed: %v", err)
 	}
-	if res.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", res.Attempts)
+	if a.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2", a.Attempts)
 	}
 	if got := p.Metrics().JobsAbandoned.Load(); got != 1 {
 		t.Errorf("abandoned = %d", got)
@@ -427,14 +427,14 @@ func TestKillAndRestartRecovery(t *testing.T) {
 			// Every spec now resolves byte-identical to the
 			// uninterrupted reference, entirely from the recovered state.
 			for i, s := range specs {
-				res, err := p2.Do(context.Background(), s)
+				a, err := p2.Serve(context.Background(), s)
 				if err != nil {
 					t.Fatalf("spec %d after recovery: %v", i, err)
 				}
-				if !res.Cached {
+				if a.By == ServedCompute {
 					t.Errorf("spec %d recomputed after recovery", i)
 				}
-				if !bytes.Equal(normalizedJSON(t, res), ref[res.ID]) {
+				if !bytes.Equal(a.Body, ref[a.ID]) {
 					t.Errorf("spec %d (%s): recovered result differs from uninterrupted run",
 						i, s.Kind)
 				}

@@ -129,14 +129,14 @@ func TestChaosCASColdRestartZeroRecompute(t *testing.T) {
 	m := p2.Metrics()
 	ramBefore, casBefore := m.CacheHits.Load(), m.CASHits.Load()
 	for i, s := range specs {
-		res, err := p2.Do(context.Background(), s)
+		a, err := p2.Serve(context.Background(), s)
 		if err != nil {
 			t.Fatalf("spec %d after restart: %v", i, err)
 		}
-		if !res.Cached {
+		if a.By == ServedCompute {
 			t.Errorf("spec %d recomputed after restart", i)
 		}
-		if !bytes.Equal(normalizedJSON(t, res), ref[res.ID]) {
+		if !bytes.Equal(a.Body, ref[a.ID]) {
 			t.Errorf("spec %d: restart result differs from serial reference", i)
 		}
 	}
@@ -259,14 +259,14 @@ func TestChaosCASKillMidWrite(t *testing.T) {
 			// compute, byte-identical to the uninterrupted reference.
 			started := p2.Metrics().JobsStarted.Load()
 			for i, s := range specs {
-				res, err := p2.Do(context.Background(), s)
+				a, err := p2.Serve(context.Background(), s)
 				if err != nil {
 					t.Fatalf("spec %d after recovery: %v", i, err)
 				}
-				if !res.Cached {
+				if a.By == ServedCompute {
 					t.Errorf("spec %d recomputed after recovery", i)
 				}
-				if !bytes.Equal(normalizedJSON(t, res), ref[res.ID]) {
+				if !bytes.Equal(a.Body, ref[a.ID]) {
 					t.Errorf("spec %d: recovered result differs from uninterrupted run", i)
 				}
 			}
@@ -313,8 +313,11 @@ func TestChaosCASCrashBetweenStorePutAndJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := NewPool(Options{Workers: 1, Store: s1})
-	if err := p0.storePut(res); err != nil {
+	st, err := Encode(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Put(st.ID, st.Body); err != nil {
 		t.Fatal(err)
 	}
 	s1.Close()

@@ -518,8 +518,16 @@ func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats,
 	}
 	stats.Truncated = rep.Truncated
 	stats.SkippedTerminal = rep.Failed
+	// Done records are decoded results; encoding them here is also what
+	// drops any per-response fields an older journal wrote into them.
+	var warmed []*Stored
 	for _, res := range rep.Completed {
-		p.Cache().Put(res.ID, res)
+		st, err := Encode(res)
+		if err != nil {
+			continue // not servable; the job recomputes on next demand
+		}
+		p.Cache().Put(st.ID, st)
+		warmed = append(warmed, st)
 		p.metrics.JournalReplayedDone.Add(1)
 		stats.WarmedCache++
 	}
@@ -528,8 +536,8 @@ func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats,
 	// body the store no longer holds (budget-evicted, dropped corrupt)
 	// is silently released: the job recomputes on next demand.
 	for _, id := range rep.StoredIDs {
-		if res, ok := p.storeGet(id); ok {
-			p.Cache().Put(id, res)
+		if st, ok := p.storeGet(id); ok {
+			p.Cache().Put(id, st)
 			p.metrics.JournalReplayedDone.Add(1)
 			stats.WarmedStore++
 		}
@@ -541,9 +549,9 @@ func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats,
 		// A crash can land between the CAS fsync and the stored journal
 		// line: the accept looks pending but the body is already
 		// durable. Check the store before re-running.
-		if res, ok := p.storeGet(spec.Hash()); ok {
-			p.Cache().Put(res.ID, res)
-			p.journalStored(res.ID)
+		if st, ok := p.storeGet(spec.Hash()); ok {
+			p.Cache().Put(st.ID, st)
+			p.journalStored(st.ID)
 			p.metrics.JournalReplayedDone.Add(1)
 			stats.WarmedStore++
 			continue
@@ -576,26 +584,28 @@ func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats,
 		var keep []*Result
 		var storedIDs []string
 		seen := map[string]bool{}
-		add := func(res *Result) {
-			if res == nil || res.ID == "" || seen[res.ID] {
+		add := func(st *Stored) {
+			if st == nil || st.ID == "" || seen[st.ID] {
 				return
 			}
-			seen[res.ID] = true
+			seen[st.ID] = true
 			if p.store != nil {
-				if err := p.storePut(res); err == nil {
-					storedIDs = append(storedIDs, res.ID)
+				if err := p.store.Put(st.ID, st.Body); err == nil {
+					storedIDs = append(storedIDs, st.ID)
 					return
 				}
 				p.metrics.CASErrors.Add(1)
 			}
-			keep = append(keep, res)
+			if res, err := st.Result(); err == nil {
+				keep = append(keep, res)
+			}
 		}
-		for _, res := range rep.Completed {
-			add(res)
+		for _, st := range warmed {
+			add(st)
 		}
 		for _, spec := range rep.Pending {
-			if res, ok := p.Cache().Get(spec.Hash()); ok {
-				add(res)
+			if st, ok := p.Cache().Get(spec.Hash()); ok {
+				add(st)
 			}
 		}
 		for _, id := range rep.StoredIDs {

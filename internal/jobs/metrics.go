@@ -150,21 +150,6 @@ func (m *Metrics) Snapshot() map[string]any {
 	}
 }
 
-// ServiceCounters snapshots the fault-handling counters into the form
-// job-result envelopes carry (Result.Service), so a -json CLI run and a
-// gapd HTTP response expose the same keys.
-func (m *Metrics) ServiceCounters() *ServiceCounters {
-	if m == nil {
-		return &ServiceCounters{}
-	}
-	return &ServiceCounters{
-		Retries:         m.JobsRetried.Load(),
-		Shed:            m.JobsShed.Load(),
-		BreakerTrips:    m.BreakerTrips.Load(),
-		JournalReplayed: m.JournalReplayedDone.Load() + m.JournalReplayedPending.Load(),
-	}
-}
-
 // Histogram is a fixed-bucket latency histogram in milliseconds.
 type Histogram struct {
 	mu     sync.Mutex

@@ -127,7 +127,7 @@ type Pool struct {
 	// locally corrupt/quarantined result from its replica set before Do
 	// admits a recompute. Guarded by mu; read only on the cold corrupt
 	// path.
-	repair func(ctx context.Context, id string) (*Result, bool)
+	repair func(ctx context.Context, id string) (*Stored, bool)
 }
 
 // Job tracks one submission through the pool.
@@ -143,6 +143,12 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	done     chan struct{}
+
+	// joined is where finish leaves the answer for requests that joined
+	// the job in flight. Only those requests keep it once the job is
+	// done, so the registry pins the decoded result, which the cache
+	// shares, and not a second copy of the bytes. Guarded by Pool.mu.
+	joined *Answer
 }
 
 // JobStatus is the JSON view of a job (GET /v1/jobs/{id}).
@@ -180,21 +186,21 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Wait blocks until the job finishes or ctx is done, returning the
-// result or the job's (or context's) error.
-func (j *Job) Wait(ctx context.Context) (*Result, error) {
+// wait blocks until the job finishes or ctx is done, returning the
+// joined answer a (the job's joined, taken under Pool.mu) or the job's
+// (or context's) error.
+func (j *Job) wait(ctx context.Context, a *Answer) (Answer, error) {
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return Answer{}, ctx.Err()
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != "" {
-		//gaplint:allow errtaxonomy — j.err is a terminal failure re-read from its stored string form; its class was decided (and journaled) when the job failed
-		return nil, errors.New(j.err)
+		return Answer{}, errors.New(j.err)
 	}
-	return j.result, nil
+	return *a, nil
 }
 
 // NewPool builds a pool from opt, applying defaults.
@@ -280,13 +286,51 @@ func (p *Pool) Lookup(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Do executes the spec through the pool and returns its result: from the
-// cache when an identical evaluation already ran, by joining an
-// identical in-flight job when one is running, and otherwise by carrying
-// the job through a worker slot with the pool's per-attempt timeout and
-// watchdog, panic recovery, and bounded retries of transient failures.
-// Do blocks; cancel ctx to give up waiting (the underlying computation
-// stops at the next flow-stage boundary).
+// Provenance names the path that produced one answer; gapd sends it as
+// the X-Gapd-Served-By response header.
+type Provenance string
+
+// The paths an answer can take.
+const (
+	ServedRAM     Provenance = "ram"     // the RAM cache
+	ServedCAS     Provenance = "cas"     // the disk store (then promoted to RAM)
+	ServedRepair  Provenance = "repair"  // a verified copy fetched from the replica set
+	ServedJoin    Provenance = "join"    // an identical compute already in flight
+	ServedCompute Provenance = "compute" // computed for this request
+	ServedForward Provenance = "forward" // relayed verbatim from the owning peer
+)
+
+// Answer is one request's answer: the result's stored form plus how this
+// request came by it. Stored is shared with the cache and must not be
+// mutated.
+type Answer struct {
+	*Stored
+	By Provenance
+	// Attempts counts the pool attempts behind a compute, or behind the
+	// compute a join waited on (1 = the first try succeeded); 0 when the
+	// answer was already stored.
+	Attempts int
+}
+
+// Do executes the spec through the pool and returns its result; it is
+// Serve with the answer decoded.
+func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
+	a, err := p.Serve(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	return a.Result()
+}
+
+// Serve executes the spec through the pool and returns its stored
+// answer: from the cache when an identical evaluation already ran, from
+// the disk store, by joining an identical in-flight job when one is
+// running, and otherwise by carrying the job through a worker slot with
+// the pool's per-attempt timeout and watchdog, panic recovery, and
+// bounded retries of transient failures. A computed result is encoded
+// once, here, and every later answer for its address reuses those
+// bytes. Serve blocks; cancel ctx to give up waiting (the underlying
+// computation stops at the next flow-stage boundary).
 //
 // Failure handling: errors are classified (Classify) into transient /
 // spec / canceled / fatal. Transient failures retry with exponential
@@ -294,10 +338,10 @@ func (p *Pool) Lookup(id string) (*Job, bool) {
 // kind's circuit breaker, and an open breaker rejects submissions with
 // ErrBreakerOpen before any work runs. The cache only ever stores fully
 // successful results — a failed job leaves no cache entry.
-func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
+func (p *Pool) Serve(ctx context.Context, s Spec) (Answer, error) {
 	c, err := s.Canon()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSpec, err)
+		return Answer{}, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
 	id := c.Hash()
 
@@ -308,39 +352,30 @@ func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
 	if p.store != nil {
 		p.store.Touch(id)
 	}
-	if res, ok := p.cache.Get(id); ok {
+	if st, ok := p.cache.Get(id); ok {
 		p.metrics.CacheHits.Add(1)
 		p.metrics.Observe("tier_hit_ram", time.Since(lookupStart))
-		hit := res.shallowCopy()
-		hit.Cached = true
-		hit.Service = p.metrics.ServiceCounters()
-		return hit, nil
+		return Answer{Stored: st, By: ServedRAM}, nil
 	}
 	p.metrics.CacheMisses.Add(1)
 	if p.store != nil {
-		res, rerr := p.storeGetE(id)
+		st, rerr := p.storeGetE(id)
 		if rerr == nil {
 			p.metrics.CASHits.Add(1)
 			p.metrics.Observe("tier_hit_cas", time.Since(lookupStart))
 			// Promote to RAM (admission-gated) so a second hit is a RAM
 			// hit; the stored body stays the durable copy either way.
-			p.cache.Put(id, res)
-			hit := res.shallowCopy()
-			hit.Cached = true
-			hit.Service = p.metrics.ServiceCounters()
-			return hit, nil
+			p.cache.Put(id, st)
+			return Answer{Stored: st, By: ServedCAS}, nil
 		}
 		if p.probeCorrupt(rerr, id) {
 			// The record existed and rotted (or is still quarantined
 			// from a scrub). Never served; before admitting a recompute,
 			// try to repair from the replica set.
 			p.metrics.CASCorruptReads.Add(1)
-			if res, ok := p.readRepair(ctx, id); ok {
+			if st, ok := p.readRepair(ctx, id); ok {
 				p.metrics.Observe("tier_hit_repair", time.Since(lookupStart))
-				hit := res.shallowCopy()
-				hit.Cached = true
-				hit.Service = p.metrics.ServiceCounters()
-				return hit, nil
+				return Answer{Stored: st, By: ServedRepair}, nil
 			}
 		}
 		p.metrics.CASMisses.Add(1)
@@ -359,7 +394,7 @@ func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
 		allowed, pr := br.Allow(time.Now())
 		if !allowed {
 			p.metrics.BreakerShortCircuits.Add(1)
-			return nil, fmt.Errorf("%w (kind %s)", ErrBreakerOpen, c.Kind)
+			return Answer{}, fmt.Errorf("%w (kind %s)", ErrBreakerOpen, c.Kind)
 		}
 		probe = pr
 		defer func() {
@@ -375,8 +410,16 @@ func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
 
 	p.mu.Lock()
 	if j, ok := p.inflight[id]; ok {
+		a := j.joined
 		p.mu.Unlock()
-		return j.Wait(ctx)
+		return j.wait(ctx, a)
+	}
+	// An identical job can finish between the lookup above and taking mu.
+	// Its result is cached before finish releases the in-flight slot, so
+	// it is here, and this request joined it rather than recomputing.
+	if st, ok := p.cache.Get(id); ok {
+		p.mu.Unlock()
+		return Answer{Stored: st, By: ServedJoin}, nil
 	}
 	j := &Job{
 		ID:      id,
@@ -384,6 +427,7 @@ func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
 		state:   StateQueued,
 		created: time.Now(),
 		done:    make(chan struct{}),
+		joined:  &Answer{By: ServedJoin},
 	}
 	p.inflight[id] = j
 	p.registerLocked(j)
@@ -401,8 +445,8 @@ func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
 	case <-ctx.Done():
 		p.queued.Add(-1)
 		p.journalFail(id, ctx.Err(), ClassCanceled)
-		p.finish(j, nil, ctx.Err())
-		return nil, ctx.Err()
+		p.finish(j, nil, 0, ctx.Err())
+		return Answer{}, ctx.Err()
 	}
 	defer func() { <-p.slots }()
 
@@ -413,19 +457,24 @@ func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
 	p.metrics.JobsStarted.Add(1)
 
 	for attempt := 0; ; attempt++ {
+		attemptStart := time.Now()
 		res, err := p.runAttempt(ctx, c, id, attempt)
+		var st *Stored
+		if err == nil {
+			// The one encode of this result: its bytes and digest are
+			// what the cache, the store, replicas and every response use.
+			st, err = Encode(res)
+		}
 		if err == nil {
 			if br != nil {
 				record(true)
 			}
-			res.Attempts = attempt + 1
-			res.Service = p.metrics.ServiceCounters()
 			p.metrics.JobsCompleted.Add(1)
-			p.metrics.Observe("job_"+string(c.Kind), time.Duration(res.ElapsedMS*float64(time.Millisecond)))
-			p.cache.Put(id, res)
-			p.persistResult(id, res)
-			p.finish(j, res, nil)
-			return res, nil
+			p.metrics.Observe("job_"+string(c.Kind), time.Since(attemptStart))
+			p.cache.Put(id, st)
+			p.persistResult(st)
+			p.finish(j, st, attempt+1, nil)
+			return Answer{Stored: st, By: ServedCompute, Attempts: attempt + 1}, nil
 		}
 
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -473,8 +522,8 @@ func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
 			// exactly the crash signature the journal replay recovers.
 			p.journalFail(id, err, class)
 		}
-		p.finish(j, nil, err)
-		return nil, err
+		p.finish(j, nil, 0, err)
+		return Answer{}, err
 	}
 }
 
@@ -583,28 +632,44 @@ func (p *Pool) StoreResult(res *Result) (created bool, err error) {
 	if res == nil || res.ID == "" {
 		return false, fmt.Errorf("%w: empty result", ErrBadReplica)
 	}
-	canon, cerr := res.Spec.Canon()
-	if cerr != nil {
-		return false, fmt.Errorf("%w: spec does not canonicalize: %v", ErrBadReplica, cerr)
+	if err := verifyAddress(res); err != nil {
+		return false, err
 	}
-	if canon.Hash() != res.ID {
-		return false, fmt.Errorf("%w: spec hashes to %s, claimed id %s",
-			ErrBadReplica, canon.Hash()[:12], res.ID[:min(12, len(res.ID))])
-	}
-	if _, ok := p.cache.Get(res.ID); ok {
+	if p.HasStored(res.ID) {
 		return false, nil
 	}
-	if p.store != nil && p.store.Has(res.ID) {
-		return false, nil
+	if _, err := p.publish(res); err != nil {
+		return false, err
 	}
-	// Store an envelope scrubbed of the origin's run bookkeeping: the
-	// replica serves the deterministic content; Cached/Attempts/Service
-	// are per-serving-node facts.
-	cp := res.Normalized()
-	p.cache.Put(cp.ID, cp)
-	p.persistResult(cp.ID, cp)
 	p.metrics.ReplicasStored.Add(1)
 	return true, nil
+}
+
+// verifyAddress checks that res is the result its content address
+// claims: the payload's canonical spec must hash to res.ID.
+func verifyAddress(res *Result) error {
+	canon, err := res.Spec.Canon()
+	if err != nil {
+		return fmt.Errorf("%w: spec does not canonicalize: %v", ErrBadReplica, err)
+	}
+	if canon.Hash() != res.ID {
+		return fmt.Errorf("%w: spec hashes to %s, claimed id %s",
+			ErrBadReplica, canon.Hash()[:12], res.ID[:min(12, len(res.ID))])
+	}
+	return nil
+}
+
+// publish encodes a verified result that arrived from elsewhere (a
+// replica push, a read-repair) into this node's stored form, caches it
+// and persists it.
+func (p *Pool) publish(res *Result) (*Stored, error) {
+	st, err := Encode(res)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadReplica, err)
+	}
+	p.cache.Put(st.ID, st)
+	p.persistResult(st)
+	return st, nil
 }
 
 // breakerFor returns the kind's circuit breaker, or nil when disabled.
@@ -722,7 +787,7 @@ func (p *Pool) journalFail(id string, err error, class Class) {
 }
 
 // finish publishes the job's outcome and releases the in-flight slot.
-func (p *Pool) finish(j *Job, res *Result, err error) {
+func (p *Pool) finish(j *Job, st *Stored, attempts int, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	if j.started.IsZero() {
@@ -733,13 +798,15 @@ func (p *Pool) finish(j *Job, res *Result, err error) {
 		j.err = err.Error()
 	} else {
 		j.state = StateDone
-		j.result = res
+		j.result, _ = st.Result() // st was encoded from its result: no decode
+		j.joined.Stored, j.joined.Attempts = st, attempts
 	}
 	j.mu.Unlock()
 	close(j.done)
 
 	p.mu.Lock()
 	delete(p.inflight, j.ID)
+	j.joined = nil
 	p.finished = append(p.finished, j.ID)
 	p.evictLocked()
 	p.mu.Unlock()

@@ -22,22 +22,23 @@ func TestPoolCachesIdenticalSpecs(t *testing.T) {
 	p := NewPool(Options{Workers: 2})
 	ctx := context.Background()
 
-	r1, err := p.Do(ctx, smallEval(1))
+	a1, err := p.Serve(ctx, smallEval(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Cached {
-		t.Error("first run reported cached")
+	if a1.By != ServedCompute || a1.Attempts != 1 {
+		t.Errorf("first run served by %q after %d attempts, want compute after 1", a1.By, a1.Attempts)
 	}
-	r2, err := p.Do(ctx, smallEval(1))
+	a2, err := p.Serve(ctx, smallEval(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r2.Cached {
-		t.Error("identical rerun was not a cache hit")
+	if a2.By != ServedRAM || a2.Attempts != 0 {
+		t.Errorf("identical rerun served by %q after %d attempts, want a RAM hit", a2.By, a2.Attempts)
 	}
-	if r1.Evaluation.ShippedMHz != r2.Evaluation.ShippedMHz {
-		t.Error("cache returned a different evaluation")
+	// A hit is the stored entry itself: same bytes, same digest, no copy.
+	if a1.Stored != a2.Stored {
+		t.Error("cache hit did not return the stored entry")
 	}
 	if hits := p.Metrics().CacheHits.Load(); hits != 1 {
 		t.Errorf("cache hits = %d", hits)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 )
@@ -18,12 +17,16 @@ var ErrSpec = errors.New("invalid job spec")
 
 // RunService executes one spec through a single-shot pool, so CLI
 // callers get the same retry/backoff, watchdog, and panic-fence
-// behaviour as the gapd daemon, and the returned envelope carries the
-// attempt count and service counters (retries, sheds, breaker trips,
-// journal replays) that gapd's own responses report.
-func RunService(ctx context.Context, s Spec, parallelism int) (*Result, error) {
+// behaviour as the gapd daemon. It returns the result's stored form:
+// Body is byte-for-byte the HTTP body gapd serves for the same spec,
+// which is what a CLI's -json prints.
+func RunService(ctx context.Context, s Spec, parallelism int) (*Stored, error) {
 	p := NewPool(Options{Workers: 1, Parallelism: parallelism})
-	return p.Do(ctx, s)
+	a, err := p.Serve(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	return a.Stored, nil
 }
 
 // Run executes one canonical spec and fills the matching payload.
@@ -42,7 +45,6 @@ func Run(ctx context.Context, s Spec, parallelism int) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{ID: c.Hash(), Kind: c.Kind, Spec: c}
-	start := time.Now()
 	switch c.Kind {
 	case KindEvaluate:
 		m, err := c.Methodology.Resolve(c.Seed)
@@ -77,7 +79,6 @@ func Run(ctx context.Context, s Spec, parallelism int) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("%w: kind %q is not executable", ErrSpec, c.Kind)
 	}
-	res.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return res, nil
 }
 

@@ -2,7 +2,7 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -12,8 +12,8 @@ import (
 
 // This file is the glue between the pool and the disk tier
 // (internal/cas): results are persisted as content-addressed records —
-// the canonical spec hash is the address, the normalized JSON envelope
-// is the body — so a restart rebuilds the full result corpus from the
+// the canonical spec hash is the address, the result's stored bytes are
+// the body — so a restart rebuilds the full result corpus from the
 // segment index without recomputing anything, and the RAM cache
 // becomes a promotion tier over the store rather than the only copy.
 
@@ -21,76 +21,71 @@ import (
 // pool runs RAM-only.
 func (p *Pool) Store() *cas.Store { return p.store }
 
-// storeGet reads and decodes the stored result for a content address.
-// The store verifies CRC and SHA-256 on read; this layer additionally
-// rejects an envelope whose ID disagrees with its address, so a stored
-// body can never surface under the wrong key.
-func (p *Pool) storeGet(id string) (*Result, bool) {
-	res, err := p.storeGetE(id)
-	return res, err == nil
+// storeGet reads the stored result for a content address.
+func (p *Pool) storeGet(id string) (*Stored, bool) {
+	st, err := p.storeGetE(id)
+	return st, err == nil
 }
 
 // storeGetE is storeGet with the failure class preserved: ErrNotFound
 // for an absent address, anything else for a record that existed but
-// failed verification — the signal Do routes through read-repair.
-func (p *Pool) storeGetE(id string) (*Result, error) {
+// failed verification — the signal Serve routes through read-repair.
+// The store verifies CRC and SHA-256 on read, and the record's digest
+// is the body's, so nothing is re-hashed or re-encoded here; this layer
+// additionally rejects a body whose id disagrees with its address, so
+// stored bytes can never surface under the wrong key.
+func (p *Pool) storeGetE(id string) (*Stored, error) {
 	if p.store == nil {
 		return nil, cas.ErrNotFound
 	}
-	body, err := p.store.GetE(id)
+	rec, err := p.store.GetRecord(id)
 	if err != nil {
 		return nil, err
 	}
-	var res Result
-	if uerr := json.Unmarshal(body, &res); uerr != nil || res.ID != id {
-		// The bytes verified but the envelope is wrong — a writer bug,
-		// not bit rot. Counted as a CAS error and treated as corrupt so
-		// the repair path can fetch a sane copy.
-		p.metrics.CASErrors.Add(1)
-		return nil, fmt.Errorf("cas: stored envelope does not decode to its address %s", id[:min(12, len(id))])
-	}
-	return &res, nil
-}
-
-// storePut persists the result's normalized envelope under its content
-// address. Returns after the record is durably on disk (group-committed
-// fsync inside the store).
-func (p *Pool) storePut(res *Result) error {
-	if p.store == nil || res == nil || res.ID == "" {
-		return nil
-	}
-	body, err := json.Marshal(res.Normalized())
+	st, err := FromBytes(rec.Body, hex.EncodeToString(rec.Digest[:]), id)
 	if err != nil {
-		return err
+		// The bytes verified but the body is wrong — a writer bug, not
+		// bit rot. Counted as a CAS error and treated as corrupt so the
+		// repair path can fetch a sane copy.
+		p.metrics.CASErrors.Add(1)
+		return nil, fmt.Errorf("cas: stored body does not decode to its address %s: %v", id[:min(12, len(id))], err)
 	}
-	return p.store.Put(res.ID, body)
+	return st, nil
 }
 
-// persistResult makes a completed result durable. With a store, the
-// body goes into the CAS (fsynced) and the journal records only a slim
-// "stored" line — the journal is then a write-ahead log, not the result
-// archive, and compaction can truncate it to pointers. Without a store
-// (or when the store write fails) the full result is journaled as a
-// done record, the pre-store behavior.
-func (p *Pool) persistResult(id string, res *Result) {
+// persistResult makes a published result durable. With a store, the
+// stored bytes go into the CAS (fsynced) and the journal records only a
+// slim "stored" line — the journal is then a write-ahead log, not the
+// result archive, and compaction can truncate it to pointers. Without a
+// store (or when the store write fails) the full result is journaled as
+// a done record, the pre-store behavior.
+func (p *Pool) persistResult(st *Stored) {
 	if p.store != nil {
-		if err := p.storePut(res); err == nil {
-			p.journalStored(id)
+		if err := p.store.Put(st.ID, st.Body); err == nil {
+			p.journalStored(st.ID)
 			return
 		}
 		p.metrics.CASErrors.Add(1)
 	}
-	p.journalDone(id, res)
+	if p.opt.Journal == nil {
+		return
+	}
+	res, err := st.Result()
+	if err != nil {
+		p.metrics.JournalErrors.Add(1)
+		return
+	}
+	p.journalDone(st.ID, res)
 }
 
 // SetReadRepair installs the read-repair hook — in production, the
 // cluster layer's replica fetch (digest and content-address verified
 // on its side of the wire). When a store read finds a corrupt or
-// quarantined record, Do consults the hook before admitting a
+// quarantined record, Serve consults the hook before admitting a
 // recompute; a repaired result is re-verified, re-Put into the local
-// store (clearing the quarantine), and served as a cached hit. Install
+// store (clearing the quarantine), and served as a repair. Install
 // before traffic starts; a nil hook disables repair.
-func (p *Pool) SetReadRepair(fn func(ctx context.Context, id string) (*Result, bool)) {
+func (p *Pool) SetReadRepair(fn func(ctx context.Context, id string) (*Stored, bool)) {
 	p.mu.Lock()
 	p.repair = fn
 	p.mu.Unlock()
@@ -101,26 +96,31 @@ func (p *Pool) SetReadRepair(fn func(ctx context.Context, id string) (*Result, b
 // replica write: the payload's canonical spec must hash to the
 // address. Adoption persists the body (the re-Put that heals the
 // quarantine) and promotes it to RAM.
-func (p *Pool) readRepair(ctx context.Context, id string) (*Result, bool) {
+func (p *Pool) readRepair(ctx context.Context, id string) (*Stored, bool) {
 	p.mu.Lock()
 	fn := p.repair
 	p.mu.Unlock()
 	if fn == nil {
 		return nil, false
 	}
-	res, ok := fn(ctx, id)
-	if !ok || res == nil || res.ID != id {
+	fetched, ok := fn(ctx, id)
+	if !ok || fetched == nil || fetched.ID != id {
 		return nil, false
 	}
-	canon, err := res.Spec.Canon()
-	if err != nil || canon.Hash() != id {
+	res, err := fetched.Result()
+	if err == nil {
+		err = verifyAddress(res)
+	}
+	if err != nil {
 		p.metrics.CASErrors.Add(1)
 		return nil, false
 	}
-	cp := res.Normalized()
-	p.cache.Put(cp.ID, cp)
-	p.persistResult(cp.ID, cp)
-	return cp, true
+	st, err := p.publish(res)
+	if err != nil {
+		p.metrics.CASErrors.Add(1)
+		return nil, false
+	}
+	return st, true
 }
 
 // probeCorrupt classifies a failed store read: true when the address
@@ -140,15 +140,18 @@ func (p *Pool) probeCorrupt(readErr error, id string) bool {
 // FindStored resolves a content address through every durable tier:
 // RAM cache, then the CAS store, then the journal's done records. The
 // read path behind GET /v1/results/{id} and replica fetches.
-func (p *Pool) FindStored(id string) (*Result, bool) {
-	if res, ok := p.cache.Get(id); ok {
-		return res, true
+func (p *Pool) FindStored(id string) (*Stored, bool) {
+	if st, ok := p.cache.Get(id); ok {
+		return st, true
 	}
-	if res, ok := p.storeGet(id); ok {
-		return res, true
+	if st, ok := p.storeGet(id); ok {
+		return st, true
 	}
 	if j := p.opt.Journal; j != nil {
-		return j.FindResult(id)
+		if res, ok := j.FindResult(id); ok {
+			st, err := Encode(res)
+			return st, err == nil
+		}
 	}
 	return nil, false
 }
@@ -198,9 +201,9 @@ func (v *StoredView) Keys() []string {
 // Get resolves a content address from RAM or disk (not the journal —
 // repair sweeps are hot-path reads; the journal backstop stays behind
 // FindStored).
-func (v *StoredView) Get(id string) (*Result, bool) {
-	if res, ok := v.p.cache.Get(id); ok {
-		return res, true
+func (v *StoredView) Get(id string) (*Stored, bool) {
+	if st, ok := v.p.cache.Get(id); ok {
+		return st, true
 	}
 	return v.p.storeGet(id)
 }

@@ -120,8 +120,7 @@ func TestPoolStressMixedJobs(t *testing.T) {
 	}
 }
 
-// summarize projects the numeric payload of a result for equality checks,
-// ignoring Cached and ElapsedMS which legitimately differ.
+// summarize projects the numeric payload of a result for equality checks.
 func summarize(r *Result) []float64 {
 	var out []float64
 	if r.Evaluation != nil {

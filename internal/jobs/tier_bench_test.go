@@ -24,7 +24,7 @@ func benchSpec(b *testing.B, seed int64) Spec {
 
 // BenchmarkTierHitRAM measures a full Pool.Do round trip answered from
 // the RAM cache — canonicalization, hash, sketch touch, LRU hit,
-// envelope copy. The baseline the disk tier is compared against.
+// no copy or encode. The baseline the disk tier is compared against.
 func BenchmarkTierHitRAM(b *testing.B) {
 	s, err := cas.Open(cas.Options{Dir: b.TempDir()})
 	if err != nil {
@@ -39,8 +39,8 @@ func BenchmarkTierHitRAM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := p.Do(context.Background(), spec)
-		if err != nil || !res.Cached {
+		a, err := p.Serve(context.Background(), spec)
+		if err != nil || a.By != ServedRAM {
 			b.Fatalf("not a cache hit: %v", err)
 		}
 	}
@@ -48,7 +48,7 @@ func BenchmarkTierHitRAM(b *testing.B) {
 
 // BenchmarkTierHitCAS measures the same round trip answered from the
 // disk tier: RAM miss, segment ReadAt, CRC + SHA-256 verification,
-// JSON decode of the stored envelope. The cache is disabled so every
+// id-only decode of the stored body. The cache is disabled so every
 // iteration exercises the store path — the number to hold against
 // BenchmarkTierHitRAM when deciding how much RAM the cache deserves.
 func BenchmarkTierHitCAS(b *testing.B) {
@@ -67,8 +67,8 @@ func BenchmarkTierHitCAS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := p.Do(context.Background(), spec)
-		if err != nil || !res.Cached {
+		a, err := p.Serve(context.Background(), spec)
+		if err != nil || a.By != ServedCAS {
 			b.Fatalf("not a store hit: %v", err)
 		}
 	}

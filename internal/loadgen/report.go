@@ -9,7 +9,7 @@ import (
 
 // ReportSchema versions the JSON report layout; bump it when fields
 // change meaning, so BENCH_loadgen_*.json trajectories stay comparable.
-const ReportSchema = "gapload/v1"
+const ReportSchema = "gapload/v2"
 
 // Report is the SLO report of one run: what was offered, what was
 // served, how fast, and how it failed — overall and sliced per job kind
@@ -68,10 +68,13 @@ type RequestCounts struct {
 	// Issued HTTP requests, including closed-loop 429 retries.
 	Issued    int64 `json:"issued"`
 	Completed int64 `json:"completed"`
-	// Cached counts completed responses served from the result cache.
-	Cached  int64 `json:"cached"`
-	Failed  int64 `json:"failed"`
-	Skipped int64 `json:"skipped"`
+	// ServedBy splits the completed responses by the X-Gapd-Served-By
+	// provenance the answering node stamped (ram, cas, repair, join,
+	// compute, forward; "unstamped" when the header was absent), so it
+	// sums to Completed exactly.
+	ServedBy map[string]int64 `json:"served_by"`
+	Failed   int64            `json:"failed"`
+	Skipped  int64            `json:"skipped"`
 	// Shed counts 429 responses observed (the closed loop retries
 	// them, so Shed can exceed the shed-terminal failures in Errors).
 	Shed int64 `json:"shed"`
@@ -141,8 +144,12 @@ func (r *Report) Validate() error {
 		return fmt.Errorf("loadgen: issued %d below completed %d + failed %d (every terminal outcome was issued at least once)",
 			c.Issued, c.Completed, c.Failed)
 	}
-	if c.Cached > c.Completed {
-		return fmt.Errorf("loadgen: cached %d exceeds completed %d", c.Cached, c.Completed)
+	var served int64
+	for _, n := range c.ServedBy {
+		served += n
+	}
+	if served != c.Completed {
+		return fmt.Errorf("loadgen: served_by counts sum to %d, completed %d", served, c.Completed)
 	}
 	if r.Latency.Count != c.Completed {
 		return fmt.Errorf("loadgen: latency count %d != completed %d", r.Latency.Count, c.Completed)
@@ -220,8 +227,15 @@ func (r *Report) Table() string {
 		fmt.Fprintf(&b, " (%d nodes)", r.Target.Nodes)
 	}
 	b.WriteString("\n\n")
-	fmt.Fprintf(&b, "requests   scheduled %d   issued %d   completed %d (%d cached)   failed %d   skipped %d\n",
-		c.Scheduled, c.Issued, c.Completed, c.Cached, c.Failed, c.Skipped)
+	fmt.Fprintf(&b, "requests   scheduled %d   issued %d   completed %d   failed %d   skipped %d\n",
+		c.Scheduled, c.Issued, c.Completed, c.Failed, c.Skipped)
+	if len(c.ServedBy) > 0 {
+		b.WriteString("served by ")
+		for _, k := range sortedKeys(c.ServedBy) {
+			fmt.Fprintf(&b, "  %s %d", k, c.ServedBy[k])
+		}
+		b.WriteString("\n")
+	}
 	fmt.Fprintf(&b, "load       duration %.2fs   offered %.1f req/s   goodput %.1f req/s   shed %d (rate %.3f)\n",
 		c.DurationSec, c.OfferedRPS, c.GoodputRPS, c.Shed, c.ShedRate)
 	fmt.Fprintf(&b, "latency    p50 %.2fms   p95 %.2fms   p99 %.2fms   p999 %.2fms   max %.2fms   mean %.2fms\n",
@@ -248,15 +262,20 @@ func (r *Report) Table() string {
 	writeSlices("phase", r.PerPhase)
 	if len(r.Errors) > 0 {
 		b.WriteString("\nerrors    ")
-		keys := make([]string, 0, len(r.Errors))
-		for k := range r.Errors {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(r.Errors) {
 			fmt.Fprintf(&b, " %s=%d", k, r.Errors[k])
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// sortedKeys returns m's keys in order, for deterministic output.
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

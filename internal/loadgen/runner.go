@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/jobs"
 )
 
@@ -94,6 +95,7 @@ func Run(ctx context.Context, plan Plan, opt RunOptions) (*Report, error) {
 		perKind:  map[string]*sliceState{},
 		perPhase: map[string]*sliceState{},
 		errors:   map[string]int64{},
+		servedBy: map[string]int64{},
 		closed:   cp.Arrival.Process == ProcClosed,
 	}
 
@@ -151,7 +153,6 @@ type runState struct {
 
 	issued    atomic.Int64
 	completed atomic.Int64
-	cached    atomic.Int64
 	failed    atomic.Int64
 	skipped   atomic.Int64
 	shed      atomic.Int64
@@ -162,6 +163,7 @@ type runState struct {
 	perKind  map[string]*sliceState
 	perPhase map[string]*sliceState
 	errors   map[string]int64
+	servedBy map[string]int64
 }
 
 func (r *runState) slice(m map[string]*sliceState, key string) *sliceState {
@@ -236,7 +238,7 @@ func (r *runState) issue(ctx context.Context, a *Arrival, shedRetries int) {
 	ps := r.slice(r.perPhase, a.Phase)
 
 	for attempt := 0; ; attempt++ {
-		status, cached, latency, retryAfter, err := r.sendOnce(ctx, a)
+		status, servedBy, latency, retryAfter, err := r.sendOnce(ctx, a)
 		switch {
 		case err != nil:
 			class := "transport"
@@ -247,9 +249,9 @@ func (r *runState) issue(ctx context.Context, a *Arrival, shedRetries int) {
 			return
 		case status == http.StatusOK:
 			r.completed.Add(1)
-			if cached {
-				r.cached.Add(1)
-			}
+			r.mu.Lock()
+			r.servedBy[servedBy]++
+			r.mu.Unlock()
 			ks.completed.Add(1)
 			ps.completed.Add(1)
 			r.overall.Observe(int64(latency))
@@ -299,44 +301,45 @@ func classFor(status int) string {
 	}
 }
 
-// sendOnce issues one HTTP request and reports (status, cached,
-// latency, Retry-After hint, transport error). The latency is measured
-// to the last body byte — the client-observed number, which is what an
-// SLO is about.
-func (r *runState) sendOnce(ctx context.Context, a *Arrival) (int, bool, time.Duration, time.Duration, error) {
+// unstamped is the provenance recorded for a 200 that carries no
+// X-Gapd-Served-By header (a target that does not stamp one).
+const unstamped = "unstamped"
+
+// sendOnce issues one HTTP request and reports (status, provenance,
+// latency, Retry-After hint, transport error). The provenance is the
+// answering node's X-Gapd-Served-By header. The latency is measured to
+// the last body byte — the client-observed number, which is what an SLO
+// is about.
+func (r *runState) sendOnce(ctx context.Context, a *Arrival) (int, string, time.Duration, time.Duration, error) {
 	rctx, cancel := context.WithTimeout(ctx, r.opts.RequestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost,
 		r.opts.Target+r.paths[a.Item], bytes.NewReader(r.bodies[a.Item]))
 	if err != nil {
-		return 0, false, 0, 0, err
+		return 0, "", 0, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	r.issued.Add(1)
 	t0 := now()
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return 0, false, 0, 0, err
+		return 0, "", 0, 0, err
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	_, err = io.Copy(io.Discard, io.LimitReader(resp.Body, 16<<20))
 	resp.Body.Close()
 	latency := now().Sub(t0)
 	if err != nil {
-		return 0, false, 0, 0, err
+		return 0, "", 0, 0, err
 	}
 	var retryAfter time.Duration
 	if resp.StatusCode == http.StatusTooManyRequests {
 		retryAfter = parseRetryAfter(resp)
 	}
-	cached := false
-	if resp.StatusCode == http.StatusOK {
-		var envelope struct {
-			Cached bool `json:"cached"`
-		}
-		_ = json.Unmarshal(body, &envelope)
-		cached = envelope.Cached
+	servedBy := resp.Header.Get(cluster.ServedByHeader)
+	if servedBy == "" {
+		servedBy = unstamped
 	}
-	return resp.StatusCode, cached, latency, retryAfter, nil
+	return resp.StatusCode, servedBy, latency, retryAfter, nil
 }
 
 // parseRetryAfter reads the Retry-After header of a shed response:
@@ -371,7 +374,6 @@ func (r *runState) report(p Plan, elapsed time.Duration) *Report {
 		Scheduled:   int64(len(r.sched.Arrivals)),
 		Issued:      r.issued.Load(),
 		Completed:   r.completed.Load(),
-		Cached:      r.cached.Load(),
 		Failed:      r.failed.Load(),
 		Skipped:     r.skipped.Load(),
 		Shed:        r.shed.Load(),
@@ -395,6 +397,10 @@ func (r *runState) report(p Plan, elapsed time.Duration) *Report {
 		Errors:   map[string]int64{},
 	}
 	r.mu.Lock()
+	rep.Requests.ServedBy = make(map[string]int64, len(r.servedBy))
+	for k, n := range r.servedBy {
+		rep.Requests.ServedBy[k] = n
+	}
 	for k, s := range r.perKind {
 		rep.PerKind[k] = &Slice{
 			Completed: s.completed.Load(), Failed: s.failed.Load(),

@@ -46,11 +46,15 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 	if c.Scheduled != 48 || c.Completed != 48 || c.Failed != 0 {
 		t.Fatalf("counts: %+v, want all 48 completed", c)
 	}
-	// 8 distinct specs, 48 requests: at least 40 land after the first
-	// computation of their spec, minus up to concurrency-1 requests that
-	// join an in-flight computation (deduped but not flagged cached).
-	if c.Cached < 48-8-4 {
-		t.Errorf("cached %d, want >= 36 (corpus has 8 distinct specs)", c.Cached)
+	// 8 distinct specs, 48 requests: the server's provenance stamps
+	// account for every request exactly — each spec computed once, every
+	// other request a RAM hit or a join on an in-flight compute.
+	sb := c.ServedBy
+	if sb["compute"] != 8 {
+		t.Errorf("computed %d, want 8 (corpus has 8 distinct specs); served_by %v", sb["compute"], sb)
+	}
+	if got := sb["ram"] + sb["join"] + sb["compute"]; got != 48 {
+		t.Errorf("ram + join + compute = %d, want 48; served_by %v", got, sb)
 	}
 	if rep.Latency.Count != 48 || rep.Latency.P50MS <= 0 {
 		t.Errorf("latency summary %+v", rep.Latency)
@@ -90,7 +94,7 @@ func (s *shedServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write([]byte(`{"id":"x","kind":"evaluate","cached":false}`))
+	w.Write([]byte(`{"id":"x","kind":"evaluate"}`))
 }
 
 // TestClosedLoopHonorsRetryAfter: the closed loop must wait out the

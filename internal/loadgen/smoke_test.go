@@ -42,8 +42,8 @@ func TestLoadSmoke(t *testing.T) {
 	if c.Completed == 0 {
 		t.Fatalf("no requests completed:\n%s", rep.Table())
 	}
-	if c.Cached == 0 {
-		t.Error("no cache hits across a 24-spec corpus — dedup broken?")
+	if c.ServedBy["ram"] == 0 {
+		t.Errorf("no RAM hits across a 24-spec corpus — dedup broken? served_by %v", c.ServedBy)
 	}
 	if len(rep.PerKind) == 0 || rep.PerKind["evaluate"] == nil {
 		t.Errorf("mixed corpus produced no evaluate slice: %v", rep.PerKind)

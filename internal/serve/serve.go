@@ -219,6 +219,7 @@ func NewHandler(opt Options) *Handler {
 // keeping the pool-facing queue bounded.
 func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		// Deadline admission runs before anything else: a request whose
 		// propagated deadline has already passed gets 504 without
 		// touching the admission budget or the pool — the caller is no
@@ -266,7 +267,7 @@ func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 		// draining, the gossip ring already excludes this node, so the
 		// same path sheds fresh work to the next rendezvous rank.
 		if h.cluster != nil && r.Header.Get(cluster.ForwardedHeader) == "" {
-			if done := h.tryForward(ctx, w, spec, r.URL.Path); done {
+			if done := h.tryForward(ctx, w, spec, r.URL.Path, start); done {
 				return
 			}
 		}
@@ -290,12 +291,12 @@ func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 			// results live on the previous owners until handoff converges,
 			// and fetching one replica read beats recomputing the job.
 			if h.cluster.GossipEnabled() {
-				if h.serveReplica(ctx, w, spec.Hash()) {
+				if h.serveReplica(ctx, w, spec.Hash(), start) {
 					return
 				}
 			}
 		}
-		res, err := h.pool.Do(ctx, spec)
+		ans, err := h.pool.Serve(ctx, spec)
 		if err != nil {
 			if errors.Is(err, jobs.ErrBreakerOpen) {
 				h.setRetryAfter(w)
@@ -303,11 +304,11 @@ func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		if h.cluster != nil && !res.Cached {
+		if h.cluster != nil && ans.By == jobs.ServedCompute {
 			// Freshly computed: push copies to the replica peers off the
-			// response path. A cached result was replicated when first
-			// computed (or arrived via replication itself). The push is
-			// bg-tracked so Quiesce can wait for it at shutdown, and
+			// response path. Every other answer was replicated when it
+			// was computed (or arrived via replication itself). The push
+			// is bg-tracked so Quiesce can wait for it at shutdown, and
 			// bounded by its own timeout rather than the dead request
 			// context.
 			h.bg.Add(1)
@@ -315,10 +316,10 @@ func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 				defer h.bg.Done()
 				rctx, cancel := context.WithTimeout(context.Background(), h.requestTimeout)
 				defer cancel()
-				h.cluster.Replicate(rctx, res)
+				h.cluster.Replicate(rctx, ans.Stored)
 			}()
 		}
-		writeJSON(w, http.StatusOK, res)
+		writeAnswer(w, ans, start)
 	}
 }
 
@@ -342,27 +343,28 @@ func parseDeadline(r *http.Request) (time.Time, error) {
 // either this node is the acting owner, or every peer was unavailable
 // and availability wins over cache affinity (the degraded-mode
 // fallback).
-func (h *handler) tryForward(ctx context.Context, w http.ResponseWriter, spec jobs.Spec, path string) bool {
+func (h *handler) tryForward(ctx context.Context, w http.ResponseWriter, spec jobs.Spec, path string, start time.Time) bool {
 	cl := h.cluster
 	hash := spec.Hash()
 	rt := cl.Route(hash)
 	if rt.Local {
 		if rt.Fallback {
 			cl.Metrics().Fallback.Add(1)
-			if h.serveReplica(ctx, w, hash) {
+			if h.serveReplica(ctx, w, hash, start) {
 				return true
 			}
 		}
 		return false
 	}
-	res, err := cl.Forward(ctx, path, spec, rt)
+	st, err := cl.Forward(ctx, path, spec, rt)
 	switch {
 	case err == nil:
 		cl.Metrics().Forwarded.Add(1)
 		if rt.Fallback {
 			cl.Metrics().Fallback.Add(1)
 		}
-		writeJSON(w, http.StatusOK, res)
+		// The owner's bytes go out verbatim under the owner's digest.
+		writeAnswer(w, jobs.Answer{Stored: st, By: jobs.ServedForward}, start)
 		return true
 	case errors.Is(err, jobs.ErrSpec):
 		// The peer ran the job and the spec is bad on any node
@@ -379,7 +381,7 @@ func (h *handler) tryForward(ctx context.Context, w http.ResponseWriter, spec jo
 		// work that was replicated before it started. Otherwise compute
 		// locally — no warm cache, full availability.
 		cl.Metrics().Fallback.Add(1)
-		if h.serveReplica(ctx, w, hash) {
+		if h.serveReplica(ctx, w, hash, start) {
 			return true
 		}
 		return false
@@ -391,22 +393,24 @@ func (h *handler) tryForward(ctx context.Context, w http.ResponseWriter, spec jo
 // first — RAM cache and CAS store (pool.Do would hit either anyway —
 // skip the network); a fetched replica is stored locally so repeated
 // requests during the same partition are served without re-fetching.
-func (h *handler) serveReplica(ctx context.Context, w http.ResponseWriter, hash string) bool {
+func (h *handler) serveReplica(ctx context.Context, w http.ResponseWriter, hash string, start time.Time) bool {
 	if h.pool.HasStored(hash) {
-		return false // pool.Do will serve the local copy
+		return false // pool.Serve will serve the local copy
 	}
-	res, ok := h.cluster.FetchResult(ctx, hash)
+	st, ok := h.cluster.FetchResult(ctx, hash)
 	if !ok {
 		return false
 	}
-	if _, err := h.pool.StoreResult(res); err != nil {
+	res, err := st.Result()
+	if err == nil {
+		_, err = h.pool.StoreResult(res)
+	}
+	if err != nil {
 		// An integrity failure here means the replica is not the result
 		// it claims to be; do not serve it.
 		return false
 	}
-	out := res.Normalized()
-	out.Cached = true
-	writeJSON(w, http.StatusOK, out)
+	writeAnswer(w, jobs.Answer{Stored: st, By: jobs.ServedRepair}, start)
 	return true
 }
 
@@ -606,16 +610,17 @@ func (h *handler) jobStatus(w http.ResponseWriter, r *http.Request) {
 // It resolves through every durable tier — result cache, then the CAS
 // store's segment index, then the crash-safe journal (a restarted node
 // holds its finished work on disk before the cache rewarms) — and 404s
-// otherwise. The response carries the digest header like every JSON
-// response, so the fetching peer verifies the bytes end to end.
+// otherwise. The body is the result's stored bytes under their digest,
+// the same bytes a POST for the spec returns, so the fetching peer
+// verifies them end to end.
 func (h *handler) getResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !validAddr(id) {
 		writeError(w, http.StatusBadRequest, errors.New("id must be 64 lowercase hex characters"))
 		return
 	}
-	if res, ok := h.pool.FindStored(id); ok {
-		writeJSON(w, http.StatusOK, res.Normalized())
+	if st, ok := h.pool.FindStored(id); ok {
+		writeStored(w, st)
 		return
 	}
 	writeError(w, http.StatusNotFound, fmt.Errorf("result %s not held here", id))
@@ -795,12 +800,34 @@ func statusFor(err error) int {
 	}
 }
 
+// writeAnswer writes a result answer: the stored bytes as the body under
+// the digest they were stored with, and this response's own facts —
+// provenance, attempts, elapsed time — as headers. Nothing is encoded
+// or hashed here.
+func writeAnswer(w http.ResponseWriter, a jobs.Answer, start time.Time) {
+	hdr := w.Header()
+	hdr.Set(cluster.ServedByHeader, string(a.By))
+	if a.Attempts > 0 {
+		hdr.Set(cluster.AttemptsHeader, strconv.Itoa(a.Attempts))
+	}
+	hdr.Set(cluster.ElapsedHeader, strconv.FormatFloat(float64(time.Since(start))/float64(time.Millisecond), 'f', 3, 64))
+	writeStored(w, a.Stored)
+}
+
+// writeStored writes a result's stored bytes with status 200.
+func writeStored(w http.ResponseWriter, st *jobs.Stored) {
+	hdr := w.Header()
+	hdr.Set("Content-Type", "application/json")
+	hdr.Set(cluster.DigestHeader, st.Digest)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(st.Body)
+}
+
 // writeJSON writes v as indented JSON with the given status, stamped
 // with the X-Gapd-Result-Digest of the exact body bytes. Buffering the
 // encode (rather than streaming) is what makes the digest possible: the
-// hash must cover the same bytes the peer will read. The output is
-// byte-identical to the streaming encoder this replaced (MarshalIndent
-// plus the trailing newline Encode appends).
+// hash must cover the same bytes the peer will read. Result answers do
+// not come through here (see writeAnswer).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -75,8 +75,8 @@ func TestEvaluateEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(raw, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Cached || res.Evaluation == nil {
-		t.Fatalf("first response: cached=%v eval=%v", res.Cached, res.Evaluation)
+	if by := resp.Header.Get(cluster.ServedByHeader); by != "compute" || res.Evaluation == nil {
+		t.Fatalf("first response: served by %q, eval=%v", by, res.Evaluation)
 	}
 
 	// Reference: the same evaluation straight through internal/core.
@@ -106,8 +106,11 @@ func TestEvaluateEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(raw2, &res2); err != nil {
 		t.Fatal(err)
 	}
-	if !res2.Cached {
-		t.Error("repeat request was not served from the cache")
+	if by := resp2.Header.Get(cluster.ServedByHeader); by != "ram" {
+		t.Errorf("repeat request served by %q, want ram", by)
+	}
+	if !bytes.Equal(raw2, raw) {
+		t.Error("cache hit body differs from the computed body")
 	}
 	if res2.Evaluation.ShippedMHz != res.Evaluation.ShippedMHz {
 		t.Error("cache served a different evaluation")
