@@ -30,16 +30,33 @@ var (
 	goldenSteps  = []string{"2.720566", "1.395243", "1.859304", "1.259104", "2.458499"}
 )
 
-// goldenSpecs is gapload's seed-42 mixed corpus (48 specs) plus the
-// reference ladder.
+// goldenSpecs is gapload's seed-42 mixed corpus (48 specs), the 28
+// cold-stream templates at evaluation seeds 1 and 2, and the reference
+// ladder last.
 func goldenSpecs() ([]jobs.Spec, error) {
 	corpus, err := loadgen.BuildCorpus(loadgen.CorpusSpec{Family: "mixed", Size: 48, Seed: 42})
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]jobs.Spec, 0, len(corpus.Items)+1)
+	specs := make([]jobs.Spec, 0, len(corpus.Items)+57)
 	for _, it := range corpus.Items {
 		specs = append(specs, it.Spec)
+	}
+	// The cold templates are what gapbench's cold-durable stream
+	// evaluates: the adders and muxpaths corpora at corpus seed 42 with
+	// the evaluation seed overridden.
+	for _, fam := range []string{"adders", "muxpaths"} {
+		c, err := loadgen.BuildCorpus(loadgen.CorpusSpec{Family: fam, Seed: 42})
+		if err != nil {
+			return nil, err
+		}
+		for _, seed := range []int64{1, 2} {
+			for _, it := range c.Items {
+				s := it.Spec
+				s.Seed = seed
+				specs = append(specs, s)
+			}
+		}
 	}
 	return append(specs, goldenLadder), nil
 }
@@ -88,7 +105,8 @@ func sha256Hex(b []byte) string {
 }
 
 // TestGoldenDigests is the answer lock: every spec of gapload's seed-42
-// mixed corpus and the reference ladder must answer with exactly the
+// mixed corpus, every cold-stream template at evaluation seeds 1 and 2,
+// and the reference ladder must answer with exactly the
 // committed SHA-256 — as the hash of the HTTP body, as the
 // X-Gapd-Result-Digest header, and as the CAS record's digest — so no
 // performance or simplification change can silently move a
