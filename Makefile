@@ -29,7 +29,7 @@
 
 GO ?= go
 
-.PHONY: tier1 fmt vet lint lint-audit build test race bench chaos chaos-net chaos-rolling chaos-cas chaos-scrub soak-cas fuzz gapd load-smoke
+.PHONY: tier1 fmt vet lint lint-audit build test race bench bench-engine chaos chaos-net chaos-rolling chaos-cas chaos-scrub soak-cas fuzz gapd load-smoke
 
 tier1: fmt vet lint build race load-smoke chaos chaos-net chaos-rolling chaos-cas chaos-scrub
 
@@ -62,6 +62,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The engine benchmarks behind BENCH_engine.json: the 28 cold-stream
+# templates evaluated in process on fresh seeds (BenchmarkEvaluateCold),
+# and one cold evaluate through the HTTP handler with its CAS put
+# (BenchmarkRequestPath/cold-evaluate). Not a gate.
+bench-engine:
+	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateCold' -benchmem -count=5 ./internal/jobs/
+	$(GO) test -run '^$$' -bench 'BenchmarkRequestPath/cold-evaluate' -benchmem -count=5 ./internal/serve/
 
 # The chaos suite under the race detector: every fault schedule is a
 # pure function of the fixed seed matrix {1, 7, 42} baked into the

@@ -16,6 +16,7 @@ package cell
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/units"
 )
@@ -234,6 +235,18 @@ func (c *Cell) Inputs() int { return c.Func.Inputs() }
 
 func (c *Cell) String() string { return c.Name }
 
+// cellName spells prefix + f + "_X" + drive exactly as
+// fmt.Sprintf("%s%v_X%g", prefix, f, drive) does, without fmt: every
+// continuous sizing step names the cell it fabricates.
+func cellName(prefix string, f Func, drive float64) string {
+	b := make([]byte, 0, 32)
+	b = append(b, prefix...)
+	b = append(b, f.String()...)
+	b = append(b, "_X"...)
+	b = strconv.AppendFloat(b, drive, 'g', -1, 64)
+	return string(b)
+}
+
 // NewStatic builds a static CMOS cell for the given function and drive.
 // It panics on an unknown function; library construction is init-time
 // configuration, not data-dependent work.
@@ -247,7 +260,7 @@ func NewStatic(f Func, drive float64) *Cell {
 	}
 	t := float64(transistors[f])
 	return &Cell{
-		Name:   fmt.Sprintf("%v_X%g", f, drive),
+		Name:   cellName("", f, drive),
 		Func:   f,
 		Family: Static,
 		Drive:  drive,
@@ -272,7 +285,7 @@ func NewDomino(f Func, drive float64) (*Cell, error) {
 	}
 	t := float64(transistors[f]) * 0.75 // dynamic gates need no PMOS pull-up network
 	return &Cell{
-		Name:   fmt.Sprintf("DOM_%v_X%g", f, drive),
+		Name:   cellName("DOM_", f, drive),
 		Func:   f,
 		Family: Domino,
 		Drive:  drive,
@@ -303,7 +316,7 @@ func NewDominoDualRail(f Func, drive float64) (*Cell, error) {
 	}
 	t := float64(transistors[f]) * 1.5 // two dynamic networks, no PMOS trees
 	return &Cell{
-		Name:   fmt.Sprintf("DOM2_%v_X%g", f, drive),
+		Name:   cellName("DOM2_", f, drive),
 		Func:   f,
 		Family: Domino,
 		Drive:  drive,

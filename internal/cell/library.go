@@ -125,20 +125,49 @@ const TargetEffortDelay = 4.0
 // effort is what real sizing does, balancing this stage against the load
 // it presents to its driver.
 func (l *Library) BestForLoad(f Func, load units.Cap) (*Cell, error) {
+	c, drive, err := l.pickForLoad(f, load)
+	if err != nil || c != nil {
+		return c, err
+	}
+	return NewStatic(f, drive), nil
+}
+
+// ResizeForLoad is BestForLoad for a gate that already has cell c: it
+// returns c itself when the selected drive equals c's, and otherwise
+// the selected cell, fabricating one only in that case on a continuous
+// library.
+func (l *Library) ResizeForLoad(c *Cell, load units.Cap) (*Cell, error) {
+	best, drive, err := l.pickForLoad(c.Func, load)
+	switch {
+	case err != nil:
+		return nil, err
+	case drive == c.Drive:
+		return c, nil
+	case best == nil:
+		return NewStatic(c.Func, drive), nil
+	}
+	return best, nil
+}
+
+// pickForLoad is BestForLoad's selection: the library cell it picks and
+// its drive, or a nil cell and the exact drive to fabricate on a
+// continuous library.
+func (l *Library) pickForLoad(f Func, load units.Cap) (*Cell, float64, error) {
 	cells := l.byFunc[f]
 	if len(cells) == 0 {
-		return nil, fmt.Errorf("cell: library %s has no cell for %v", l.Name, f)
+		return nil, 0, fmt.Errorf("cell: library %s has no cell for %v", l.Name, f)
 	}
 	need := float64(load) / TargetEffortDelay
 	if l.Continuous && need > cells[0].Drive {
-		return NewStatic(f, need), nil
+		return nil, need, nil
 	}
 	for _, c := range cells {
 		if c.Drive >= need {
-			return c, nil
+			return c, c.Drive, nil
 		}
 	}
-	return cells[len(cells)-1], nil
+	last := cells[len(cells)-1]
+	return last, last.Drive, nil
 }
 
 // ForDrive returns the discrete cell for f whose drive is nearest the

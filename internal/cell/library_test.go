@@ -190,3 +190,33 @@ func TestSmallestLargest(t *testing.T) {
 		t.Fatal("missing function must return nil")
 	}
 }
+
+// TestResizeForLoadAgreesWithBestForLoad: resizing an existing cell
+// keeps it exactly when BestForLoad's pick has its drive, and otherwise
+// returns a cell identical to that pick, on continuous, rich and
+// two-drive libraries.
+func TestResizeForLoadAgreesWithBestForLoad(t *testing.T) {
+	for _, lib := range []*Library{Custom(), RichASIC(), PoorASIC()} {
+		for _, f := range lib.Functions() {
+			currents := append([]*Cell{NewStatic(f, 2.5)}, lib.Cells(f)...)
+			for _, cur := range currents {
+				for _, load := range []units.Cap{0, 1, 3.999, 4, 10, units.Cap(cur.Drive * TargetEffortDelay), 57.3, 500} {
+					pick, err := lib.BestForLoad(f, load)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := lib.ResizeForLoad(cur, load)
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch {
+					case pick.Drive == cur.Drive && got != cur:
+						t.Errorf("%s %v: load %v replaced a cell already at drive %v", lib.Name, f, load, cur.Drive)
+					case pick.Drive != cur.Drive && *got != *pick:
+						t.Errorf("%s %v: load %v resized to %+v, BestForLoad picks %+v", lib.Name, f, load, *got, *pick)
+					}
+				}
+			}
+		}
+	}
+}

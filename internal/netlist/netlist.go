@@ -10,6 +10,7 @@ package netlist
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cell"
 	"repro/internal/units"
@@ -115,7 +116,17 @@ type Netlist struct {
 
 	inputs  []NetID
 	outputs []NetID
+
+	// netBlock, gateBlock and pinBlock hand out new nets, gates and gate
+	// input slices from blocks, so building a netlist makes a few large
+	// allocations rather than several per gate.
+	netBlock  []Net
+	gateBlock []Gate
+	pinBlock  []NetID
 }
+
+// blockSize is how many nets or gates one block allocation holds.
+const blockSize = 64
 
 // New creates an empty netlist.
 func New(name string) *Netlist {
@@ -157,9 +168,39 @@ func (n *Netlist) Outputs() []NetID { return n.outputs }
 
 // newNet allocates a fresh net.
 func (n *Netlist) newNet(name string) *Net {
-	nt := &Net{ID: NetID(len(n.nets)), Name: name, Driver: None, DriverReg: None}
+	if len(n.netBlock) == 0 {
+		n.netBlock = make([]Net, blockSize)
+	}
+	nt := &n.netBlock[0]
+	n.netBlock = n.netBlock[1:]
+	*nt = Net{ID: NetID(len(n.nets)), Name: name, Driver: None, DriverReg: None}
 	n.nets = append(n.nets, nt)
 	return nt
+}
+
+// newGate allocates a gate instance of c with a copy of the input nets.
+func (n *Netlist) newGate(c *cell.Cell, in []NetID) *Gate {
+	if len(n.gateBlock) == 0 {
+		n.gateBlock = make([]Gate, blockSize)
+	}
+	if cap(n.pinBlock)-len(n.pinBlock) < len(in) {
+		n.pinBlock = make([]NetID, 0, max(4*blockSize, len(in)))
+	}
+	start := len(n.pinBlock)
+	n.pinBlock = append(n.pinBlock, in...)
+	g := &n.gateBlock[0]
+	n.gateBlock = n.gateBlock[1:]
+	// The full slice expression caps In at its own pins, so an append to
+	// it cannot run into the next gate's.
+	*g = Gate{ID: GateID(len(n.gates)), Cell: c, In: n.pinBlock[start:len(n.pinBlock):len(n.pinBlock)], Stage: None}
+	return g
+}
+
+// numbered spells the default net name prefix+id ("g12", "r3") in one
+// allocation.
+func numbered(prefix byte, id int) string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix), int64(id), 10))
 }
 
 // AddInput creates a primary input net.
@@ -186,8 +227,8 @@ func (n *Netlist) AddGate(c *cell.Cell, in ...NetID) (NetID, error) {
 	if len(in) != c.Inputs() {
 		return None, fmt.Errorf("netlist: %s wants %d inputs, got %d", c.Name, c.Inputs(), len(in))
 	}
-	g := &Gate{ID: GateID(len(n.gates)), Cell: c, In: append([]NetID(nil), in...), Stage: None}
-	out := n.newNet(fmt.Sprintf("g%d", g.ID))
+	g := n.newGate(c, in)
+	out := n.newNet(numbered('g', int(g.ID)))
 	out.Driver = g.ID
 	g.Out = out.ID
 	n.gates = append(n.gates, g)
@@ -234,7 +275,7 @@ func (n *Netlist) AddRegTo(c *cell.SeqCell, d, q NetID) (RegID, error) {
 // Q-output net.
 func (n *Netlist) AddReg(c *cell.SeqCell, d NetID) NetID {
 	r := &Reg{ID: RegID(len(n.regs)), Cell: c, D: d, Stage: None}
-	q := n.newNet(fmt.Sprintf("r%d", r.ID))
+	q := n.newNet(numbered('r', int(r.ID)))
 	q.DriverReg = r.ID
 	r.Q = q.ID
 	n.regs = append(n.regs, r)

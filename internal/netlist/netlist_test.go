@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/cell"
@@ -184,5 +185,25 @@ func TestCheckCatchesDoubleDriver(t *testing.T) {
 	n.Net(x).IsInput = true
 	if err := n.Check(); err == nil {
 		t.Fatal("want double-driver error")
+	}
+}
+
+// TestDefaultNetNames: gate and register output nets are named g<id> and
+// r<id>, spelled as fmt's %d spells the id.
+func TestDefaultNetNames(t *testing.T) {
+	l := lib()
+	n := New("names")
+	x := n.AddInput("a")
+	for i := 0; i < 1500; i++ {
+		x = n.MustGate(l.Smallest(cell.FuncInv), x)
+		if got, want := n.Net(x).Name, fmt.Sprintf("g%d", i); got != want {
+			t.Fatalf("gate output net %q, want %q", got, want)
+		}
+		if i%100 == 0 {
+			q := n.AddReg(l.DefaultSeq(1), x)
+			if got, want := n.Net(q).Name, fmt.Sprintf("r%d", n.Net(q).DriverReg); got != want {
+				t.Fatalf("register output net %q, want %q", got, want)
+			}
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Components are the variation magnitudes of one fabrication line.
@@ -86,20 +85,69 @@ func (c Components) Sample(n int, seed int64) []float64 {
 	return speeds
 }
 
-// Quantile returns the q-quantile (0..1) of the speeds.
+// Quantile returns the q-quantile (0..1) of the speeds: the linear
+// interpolation between the two order statistics around q*(n-1). It
+// reads them by selection on a copy, in the order sort.Float64s uses, so
+// the answer is the sorted-copy answer without the sort.
 func Quantile(speeds []float64, q float64) float64 {
 	if len(speeds) == 0 {
 		return 0
 	}
 	s := append([]float64(nil), speeds...)
-	sort.Float64s(s)
 	idx := q * float64(len(s)-1)
 	lo := int(idx)
 	if lo >= len(s)-1 {
+		selectNth(s, len(s)-1)
 		return s[len(s)-1]
 	}
+	selectNth(s, lo)
+	// Everything after s[lo] is at or above it; the next order
+	// statistic is the least of them.
+	next := s[lo+1]
+	for _, v := range s[lo+2:] {
+		if floatLess(v, next) {
+			next = v
+		}
+	}
 	frac := idx - float64(lo)
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return s[lo]*(1-frac) + next*frac
+}
+
+// floatLess is sort.Float64s's order: NaNs first, then ascending.
+func floatLess(a, b float64) bool {
+	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+}
+
+// selectNth reorders s so that s[k] holds the value a full sort would put
+// there, with nothing greater before it and nothing less after it
+// (quickselect with a three-way partition, so duplicates cost nothing).
+func selectNth(s []float64, k int) {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		p := s[lo+(hi-lo)/2]
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch {
+			case floatLess(s[i], p):
+				s[lt], s[i] = s[i], s[lt]
+				lt++
+				i++
+			case floatLess(p, s[i]):
+				s[i], s[gt] = s[gt], s[i]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
 }
 
 // WorstCaseRating is the speed a foundry quotes for ASIC libraries: a low

@@ -2,6 +2,8 @@ package procvar
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -196,5 +198,51 @@ func TestTestedSpeedGainMatchesTypGain(t *testing.T) {
 func TestReportString(t *testing.T) {
 	if Analyze(NewProcess().Sample(1000, 2)).String() == "" {
 		t.Fatal("empty report")
+	}
+}
+
+// sortedQuantile is Quantile's reference: interpolate on a fully sorted
+// copy.
+func sortedQuantile(speeds []float64, q float64) float64 {
+	s := append([]float64(nil), speeds...)
+	sort.Float64s(s)
+	idx := q * float64(len(s)-1)
+	lo := int(idx)
+	if lo >= len(s)-1 {
+		return s[len(s)-1]
+	}
+	frac := idx - float64(lo)
+	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+// TestQuantileMatchesSortedReference: selection returns bit for bit what
+// interpolating on a sorted copy returns, on random slices heavy with
+// duplicates, sorted and reversed runs, and real speed samples, and it
+// leaves its input as it was.
+func TestQuantileMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var cases [][]float64
+	for _, n := range []int{1, 2, 3, 5, 17, 100, 1001, 4000} {
+		dup := make([]float64, n)
+		asc := make([]float64, n)
+		for i := range dup {
+			dup[i] = float64(rng.Intn(1 + n/4))
+			asc[i] = float64(i / 3)
+		}
+		desc := append([]float64(nil), asc...)
+		slices.Reverse(desc)
+		cases = append(cases, dup, asc, desc, NewProcess().Sample(n, int64(n)))
+	}
+	for ci, s := range cases {
+		orig := append([]float64(nil), s...)
+		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.99, 1} {
+			got, want := Quantile(s, q), sortedQuantile(s, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("case %d (n=%d) q=%g: %v, sorted reference %v", ci, len(s), q, got, want)
+			}
+		}
+		if !slices.Equal(s, orig) {
+			t.Fatalf("case %d: Quantile modified its input", ci)
+		}
 	}
 }

@@ -34,31 +34,52 @@ var (
 // cold-stream templates at evaluation seeds 1 and 2, and the reference
 // ladder last.
 func goldenSpecs() ([]jobs.Spec, error) {
+	specs, err := mixedSpecs()
+	if err != nil {
+		return nil, err
+	}
+	mixed, ladder := specs[:len(specs)-1], specs[len(specs)-1]
+	for _, seed := range []int64{1, 2} {
+		cold, err := coldTemplates(seed)
+		if err != nil {
+			return nil, err
+		}
+		mixed = append(mixed, cold...)
+	}
+	return append(mixed, ladder), nil
+}
+
+// mixedSpecs is gapload's seed-42 mixed corpus (48 specs) plus the
+// reference ladder last.
+func mixedSpecs() ([]jobs.Spec, error) {
 	corpus, err := loadgen.BuildCorpus(loadgen.CorpusSpec{Family: "mixed", Size: 48, Seed: 42})
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]jobs.Spec, 0, len(corpus.Items)+57)
+	specs := make([]jobs.Spec, 0, len(corpus.Items)+1)
 	for _, it := range corpus.Items {
 		specs = append(specs, it.Spec)
 	}
-	// The cold templates are what gapbench's cold-durable stream
-	// evaluates: the adders and muxpaths corpora at corpus seed 42 with
-	// the evaluation seed overridden.
+	return append(specs, goldenLadder), nil
+}
+
+// coldTemplates returns what gapbench's cold-durable stream evaluates:
+// the 28 specs of gapload's adders and muxpaths corpora at corpus seed
+// 42, with the evaluation seed set to seed.
+func coldTemplates(seed int64) ([]jobs.Spec, error) {
+	var specs []jobs.Spec
 	for _, fam := range []string{"adders", "muxpaths"} {
 		c, err := loadgen.BuildCorpus(loadgen.CorpusSpec{Family: fam, Seed: 42})
 		if err != nil {
 			return nil, err
 		}
-		for _, seed := range []int64{1, 2} {
-			for _, it := range c.Items {
-				s := it.Spec
-				s.Seed = seed
-				specs = append(specs, s)
-			}
+		for _, it := range c.Items {
+			s := it.Spec
+			s.Seed = seed
+			specs = append(specs, s)
 		}
 	}
-	return append(specs, goldenLadder), nil
+	return specs, nil
 }
 
 // readGolden loads testdata/golden_digests.txt: content address ->
@@ -291,10 +312,11 @@ func TestJoinStampsJoin(t *testing.T) {
 	}
 }
 
-// goldenResults computes the golden corpus once per test binary: the
-// request-path benchmarks need it warm, not computed.
+// goldenResults computes the mixed corpus and the reference ladder once
+// per test binary: the request-path benchmarks need them warm, not
+// computed.
 var goldenResults = sync.OnceValues(func() ([]*jobs.Result, error) {
-	specs, err := goldenSpecs()
+	specs, err := mixedSpecs()
 	if err != nil {
 		return nil, err
 	}
@@ -310,10 +332,12 @@ var goldenResults = sync.OnceValues(func() ([]*jobs.Result, error) {
 })
 
 // BenchmarkRequestPath measures one POST through Handler.ServeHTTP per
-// op over the golden corpus, on the three request paths that serve a
-// finished result: a RAM hit, a CAS hit (RAM cache off), and a request
+// op. Three paths serve a finished result of the mixed corpus and the
+// reference ladder: a RAM hit, a CAS hit (RAM cache off), and a request
 // forwarded by an entry node to the owning peer, which answers from its
-// RAM cache.
+// RAM cache. The fourth, cold-evaluate, computes: every op is a cold
+// template on an evaluation seed no other op uses, so it pays the RAM
+// and CAS misses, the whole evaluate flow, the encode and the CAS put.
 func BenchmarkRequestPath(b *testing.B) {
 	results, err := goldenResults()
 	if err != nil {
@@ -385,5 +409,22 @@ func BenchmarkRequestPath(b *testing.B) {
 			b.Fatal("no golden spec is owned by the peer")
 		}
 		run(b, NewHandler(Options{Pool: jobs.NewPool(jobs.Options{Workers: 2}), Cluster: cl}), owned)
+	})
+	b.Run("cold-evaluate", func(b *testing.B) {
+		templates, err := coldTemplates(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		store, err := cas.Open(cas.Options{Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer store.Close()
+		cold := make([]jobs.Spec, b.N)
+		for i := range cold {
+			cold[i] = templates[i%len(templates)]
+			cold[i].Seed = int64(i) + 1
+		}
+		run(b, NewHandler(Options{Pool: jobs.NewPool(jobs.Options{Workers: 2, Store: store})}), cold)
 	})
 }

@@ -67,32 +67,29 @@ func (r Result) String() string {
 // reduces the path delay (accounting for the extra load presented to its
 // driver). Requires a library permitting continuous drives for exact
 // realization; with a discrete library the result is later snapped.
+// Each bump re-times only what it can move (sta.Timer), which gives the
+// same answers as re-analyzing the whole netlist.
 func ContinuousTILOS(n *netlist.Netlist, lib *cell.Library, opt Options) (Result, error) {
 	if opt.MaxIters <= 0 {
 		opt = DefaultOptions()
 	}
-	first, err := sta.Analyze(n, sta.Options{})
+	timer, err := sta.NewTimer(n, sta.Options{})
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Before: first.WorstComb, AreaBefore: n.TotalArea()}
+	cur := timer.Result()
+	res := Result{Before: cur.WorstComb, AreaBefore: n.TotalArea()}
 
-	snapshot := func() []*cell.Cell {
-		cells := make([]*cell.Cell, n.NumGates())
-		for i, g := range n.Gates() {
-			cells[i] = g.Cell
+	snapshot := func(cells []*cell.Cell) []*cell.Cell {
+		cells = cells[:0]
+		for _, g := range n.Gates() {
+			cells = append(cells, g.Cell)
 		}
 		return cells
 	}
-	restore := func(cells []*cell.Cell) {
-		for i, g := range n.Gates() {
-			g.Cell = cells[i]
-		}
-	}
 
-	cur := first
-	best := first.WorstComb
-	bestCells := snapshot()
+	best := cur.WorstComb
+	bestCells := snapshot(nil)
 	noGain := 0
 	for iter := 0; iter < opt.MaxIters; iter++ {
 		gate, gain := bestBump(n, cur, opt)
@@ -108,15 +105,14 @@ func ContinuousTILOS(n *netlist.Netlist, lib *cell.Library, opt Options) (Result
 		if err != nil {
 			return res, err
 		}
-		g.Cell = c
-		next, err := sta.Analyze(n, sta.Options{})
-		if err != nil {
-			return res, err
+		timer.SetCell(gate, c)
+		if stepCheck != nil {
+			stepCheck(n, cur)
 		}
 		res.Iters = iter + 1
-		if next.WorstComb < best {
-			best = next.WorstComb
-			bestCells = snapshot()
+		if cur.WorstComb < best {
+			best = cur.WorstComb
+			bestCells = snapshot(bestCells)
 			noGain = 0
 		} else {
 			noGain++
@@ -124,13 +120,19 @@ func ContinuousTILOS(n *netlist.Netlist, lib *cell.Library, opt Options) (Result
 				break
 			}
 		}
-		cur = next
 	}
-	restore(bestCells)
+	for i, g := range n.Gates() {
+		g.Cell = bestCells[i]
+	}
 	res.After = best
 	res.AreaAfter = n.TotalArea()
 	return res, nil
 }
+
+// stepCheck, when set, sees the netlist and the timer's result after
+// every TILOS bump. Tests use it to check the incremental timer against
+// a fresh analysis at each step.
+var stepCheck func(n *netlist.Netlist, r *sta.Result)
 
 // bestBump scans the critical path and estimates, for each gate on it, the
 // delay change from multiplying its drive by the step factor: the gate's

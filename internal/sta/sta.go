@@ -12,6 +12,7 @@ package sta
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/units"
@@ -81,87 +82,136 @@ func Analyze(n *netlist.Netlist, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	arrival := make([]units.Tau, n.NumNets())
-	// from[i] records the net whose arrival determined net i's arrival,
-	// for path backtracking; None for start points.
-	from := make([]netlist.NetID, n.NumNets())
-	for i := range from {
-		from[i] = netlist.None
+	a := newAnalysis(n, opt)
+	a.propagate(order)
+	res := &Result{}
+	if err := a.finish(res); err != nil {
+		return nil, err
 	}
+	return res, nil
+}
 
-	load := func(id netlist.NetID) units.Cap {
-		l := n.Load(id)
-		nt := n.Net(id)
-		if nt.IsOutput && nt.PortLoad == 0 {
-			l += opt.OutputLoad
-		}
-		return l
-	}
+// analysis is the state of one arrival-time propagation, shared by
+// Analyze and the incremental Timer so that both compute every arrival
+// with the same expressions in the same order.
+type analysis struct {
+	n   *netlist.Netlist
+	opt Options
 
-	// Start points.
-	for _, id := range n.Inputs() {
-		arrival[id] = opt.InputArrival
-	}
-	for _, r := range n.Regs() {
-		arrival[r.Q] = r.Cell.Delay(load(r.Q)) + n.Net(r.Q).ExtraDelay
-	}
+	arrival []units.Tau
+	// from[i] records the net whose arrival determined net i's
+	// arrival, for path backtracking; None for start points.
+	from []netlist.NetID
+}
 
-	// Propagate in topological order.
+func newAnalysis(n *netlist.Netlist, opt Options) *analysis {
+	a := &analysis{
+		n:       n,
+		opt:     opt,
+		arrival: make([]units.Tau, n.NumNets()),
+		from:    make([]netlist.NetID, n.NumNets()),
+	}
+	for i := range a.from {
+		a.from[i] = netlist.None
+	}
+	return a
+}
+
+func (a *analysis) load(id netlist.NetID) units.Cap {
+	l := a.n.Load(id)
+	nt := a.n.Net(id)
+	if nt.IsOutput && nt.PortLoad == 0 {
+		l += a.opt.OutputLoad
+	}
+	return l
+}
+
+// propagate sets the start points, then every gate in topological order.
+func (a *analysis) propagate(order []netlist.GateID) {
+	for _, id := range a.n.Inputs() {
+		a.arrival[id] = a.opt.InputArrival
+	}
+	for _, r := range a.n.Regs() {
+		a.evalReg(r)
+	}
 	for _, gid := range order {
-		g := n.Gate(gid)
-		worst := units.Tau(math.Inf(-1))
-		var worstIn netlist.NetID = netlist.None
-		for _, in := range g.In {
-			if arrival[in] > worst {
-				worst, worstIn = arrival[in], in
-			}
-		}
-		if worstIn == netlist.None {
-			worst = 0
-		}
-		d := g.Cell.Delay(load(g.Out)) + n.Net(g.Out).ExtraDelay
-		arrival[g.Out] = worst + d
-		from[g.Out] = worstIn
+		a.evalGate(a.n.Gate(gid))
 	}
+}
 
-	res := &Result{Arrival: arrival, n: n, WorstEnd: netlist.None}
+// evalReg sets the arrival at register r's Q and reports whether it
+// changed.
+func (a *analysis) evalReg(r *netlist.Reg) bool {
+	return a.set(r.Q, r.Cell.Delay(a.load(r.Q))+a.n.Net(r.Q).ExtraDelay, netlist.None)
+}
 
-	// Endpoints: register D pins (with setup) and primary outputs.
+// evalGate sets the arrival at gate g's output from its inputs' current
+// arrivals, the first latest input in g.In order winning ties, and
+// reports whether it changed.
+func (a *analysis) evalGate(g *netlist.Gate) bool {
+	worst := units.Tau(math.Inf(-1))
+	var worstIn netlist.NetID = netlist.None
+	for _, in := range g.In {
+		if a.arrival[in] > worst {
+			worst, worstIn = a.arrival[in], in
+		}
+	}
+	if worstIn == netlist.None {
+		worst = 0
+	}
+	d := g.Cell.Delay(a.load(g.Out)) + a.n.Net(g.Out).ExtraDelay
+	return a.set(g.Out, worst+d, worstIn)
+}
+
+// set records net id's arrival and the net it came from, reporting
+// whether the arrival's bits changed (what fanout gates read).
+func (a *analysis) set(id netlist.NetID, t units.Tau, from netlist.NetID) bool {
+	changed := math.Float64bits(float64(t)) != math.Float64bits(float64(a.arrival[id]))
+	a.arrival[id] = t
+	a.from[id] = from
+	return changed
+}
+
+// finish fills res from the propagated arrivals: the worst endpoint
+// (register D pins with setup, then primary outputs; the first strictly
+// worst wins) and its critical path, built in res.Critical's storage.
+func (a *analysis) finish(res *Result) error {
+	n := a.n
+	*res = Result{Arrival: a.arrival, n: n, WorstEnd: netlist.None, Critical: res.Critical}
 	worstTotal := units.Tau(math.Inf(-1))
 	for _, r := range n.Regs() {
-		t := arrival[r.D] + r.Cell.Setup
+		t := a.arrival[r.D] + r.Cell.Setup
 		if t > worstTotal {
 			worstTotal = t
-			res.WorstComb = arrival[r.D]
+			res.WorstComb = a.arrival[r.D]
 			res.WorstEnd = r.D
 			res.WorstEndKind = EndRegisterD
 		}
 	}
 	for _, id := range n.Outputs() {
-		if arrival[id] > worstTotal {
-			worstTotal = arrival[id]
-			res.WorstComb = arrival[id]
+		if a.arrival[id] > worstTotal {
+			worstTotal = a.arrival[id]
+			res.WorstComb = a.arrival[id]
 			res.WorstEnd = id
 			res.WorstEndKind = EndPrimaryOutput
 		}
 	}
 	if res.WorstEnd == netlist.None {
-		return nil, fmt.Errorf("sta: netlist %s has no timing endpoints", n.Name)
+		return fmt.Errorf("sta: netlist %s has no timing endpoints", n.Name)
 	}
 	res.WorstEndpointDelay = worstTotal
-
-	// Backtrack the critical path.
-	res.Critical = backtrack(n, arrival, from, res.WorstEnd)
-	return res, nil
+	res.Critical = a.backtrack(res.Critical, res.WorstEnd)
+	return nil
 }
 
-func backtrack(n *netlist.Netlist, arrival []units.Tau, from []netlist.NetID, end netlist.NetID) []Step {
-	var rev []Step
-	id := end
-	for id != netlist.None {
+// backtrack returns the path ending at net end, start to end, built in
+// dst's storage.
+func (a *analysis) backtrack(dst []Step, end netlist.NetID) []Step {
+	n := a.n
+	dst = dst[:0]
+	for id := end; id != netlist.None; id = a.from[id] {
 		nt := n.Net(id)
-		st := Step{Gate: netlist.None, Net: id, Arrival: arrival[id]}
+		st := Step{Gate: netlist.None, Net: id, Arrival: a.arrival[id]}
 		switch {
 		case nt.Driver != netlist.None:
 			g := n.Gate(nt.Driver)
@@ -172,20 +222,16 @@ func backtrack(n *netlist.Netlist, arrival []units.Tau, from []netlist.NetID, en
 		default:
 			st.What = "PI:" + nt.Name
 		}
-		prev := from[id]
-		if prev != netlist.None {
-			st.Delay = arrival[id] - arrival[prev]
+		if prev := a.from[id]; prev != netlist.None {
+			st.Delay = a.arrival[id] - a.arrival[prev]
 		} else {
-			st.Delay = arrival[id]
+			st.Delay = a.arrival[id]
 		}
-		rev = append(rev, st)
-		id = prev
+		dst = append(dst, st)
 	}
 	// Reverse into start-to-end order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	slices.Reverse(dst)
+	return dst
 }
 
 // Depth returns the number of gates on the critical path.

@@ -30,12 +30,11 @@ func SelectDrives(n *netlist.Netlist, lib *cell.Library, wl *wire.LoadModel) err
 	for iter := 0; iter < maxIters; iter++ {
 		changed := false
 		for _, g := range n.Gates() {
-			load := n.Load(g.Out)
-			best, err := lib.BestForLoad(g.Cell.Func, load)
+			best, err := lib.ResizeForLoad(g.Cell, n.Load(g.Out))
 			if err != nil {
 				return fmt.Errorf("synth: sizing gate %d: %w", g.ID, err)
 			}
-			if best != g.Cell && best.Drive != g.Cell.Drive {
+			if best != g.Cell {
 				g.Cell = best
 				changed = true
 			}

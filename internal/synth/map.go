@@ -56,8 +56,8 @@ func Map(n *netlist.Netlist, target *cell.Library, opt MapOptions) (*netlist.Net
 	nominalArea := func(f cell.Func) float64 { return target.Smallest(f).Area }
 
 	type choice struct {
-		pat  int   // index into pats
-		bind []int // leaf nodes in pin order
+		pat  int     // index into pats
+		bind binding // leaf nodes in pin order
 	}
 	// DP over nodes in id order (construction order is topological).
 	cost := make([]float64, len(g.nodes))
@@ -65,6 +65,7 @@ func Map(n *netlist.Netlist, target *cell.Library, opt MapOptions) (*netlist.Net
 	for i := range best {
 		best[i].pat = -1
 	}
+	var binds []binding
 	for id := range g.nodes {
 		if g.isLeaf(id) {
 			cost[id] = 0
@@ -72,18 +73,19 @@ func Map(n *netlist.Netlist, target *cell.Library, opt MapOptions) (*netlist.Net
 		}
 		cost[id] = math.Inf(1)
 		for pi, p := range pats {
-			for _, bind := range g.matches(p, id) {
+			binds = g.matches(p, id, binds)
+			for _, bind := range binds {
 				var c float64
 				switch opt.Objective {
 				case MinArea:
 					c = nominalArea(p.f)
-					for _, leaf := range bind {
+					for _, leaf := range bind.leaves() {
 						c += cost[leaf] / math.Max(1, float64(g.nodes[leaf].fanout))
 					}
 				default:
 					c = nominalDelay(p.f)
 					worst := 0.0
-					for _, leaf := range bind {
+					for _, leaf := range bind.leaves() {
 						worst = math.Max(worst, cost[leaf])
 					}
 					c += worst
@@ -135,8 +137,8 @@ func Map(n *netlist.Netlist, target *cell.Library, opt MapOptions) (*netlist.Net
 			return netlist.None, fmt.Errorf("synth: no cover chosen for node %d", id)
 		}
 		p := pats[ch.pat]
-		ins := make([]netlist.NetID, len(ch.bind))
-		for i, leaf := range ch.bind {
+		ins := make([]netlist.NetID, ch.bind.n)
+		for i, leaf := range ch.bind.leaves() {
 			net, err := emit(leaf)
 			if err != nil {
 				return netlist.None, err

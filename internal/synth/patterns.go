@@ -1,7 +1,7 @@
 package synth
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/cell"
 )
@@ -65,61 +65,70 @@ func patternSet() []pattern {
 	}
 }
 
+// binding is one match's subject nodes for the pattern leaves, in pin
+// order. Cells have at most four inputs, so patterns at most four leaves.
+type binding struct {
+	n    int
+	leaf [4]int
+}
+
+// leaves returns the bound subject nodes.
+func (b *binding) leaves() []int { return b.leaf[:b.n] }
+
 // match attempts to overlay the pattern tree rooted at p onto the subject
 // graph at node s. A pattern leaf matches any node and records a binding.
 // Internal pattern nodes must match node kinds, and a subject node covered
 // by the interior of a pattern must not be multi-fanout (its value would
 // be needed elsewhere) — except at the match root itself.
 //
-// Each successful alternative appends its leaf bindings (in pin order) to
-// out; NAND commutativity is explored both ways.
-func (g *subjGraph) match(p *pnode, s int, root bool, bind []int) ([][]int, []int) {
-	var results [][]int
+// Each successful alternative extends bind with its leaf bindings (in pin
+// order) and is appended to out; NAND commutativity is explored both ways.
+func (g *subjGraph) match(p *pnode, s int, root bool, bind binding, out []binding) []binding {
 	n := &g.nodes[s]
 	if p.kind == pLeaf {
-		cp := append(append([]int(nil), bind...), s)
-		return [][]int{cp}, cp
+		bind.leaf[bind.n] = s
+		bind.n++
+		return append(out, bind)
 	}
-	if !root && n.fanout > 1 {
-		return nil, bind
-	}
-	if g.isLeaf(s) {
-		return nil, bind
+	if (!root && n.fanout > 1) || g.isLeaf(s) {
+		return out
 	}
 	switch p.kind {
 	case pInv:
-		if !n.inv {
-			return nil, bind
+		if n.inv {
+			out = g.match(p.kids[0], n.in[0], false, bind, out)
 		}
-		r, _ := g.match(p.kids[0], n.in[0], false, bind)
-		results = append(results, r...)
 	case pNand:
 		if n.inv {
-			return nil, bind
+			return out
 		}
-		// Try both input orders.
-		for _, ord := range [][2]int{{0, 1}, {1, 0}} {
-			left, _ := g.match(p.kids[0], n.in[ord[0]], false, bind)
-			for _, lb := range left {
-				right, _ := g.match(p.kids[1], n.in[ord[1]], false, lb)
-				results = append(results, right...)
+		// Try both input orders. The left kid's partial bindings go
+		// to out[start:mid]; each is extended by the right kid after
+		// them, and the finished bindings then replace the partials.
+		for _, ord := range [2][2]int{{0, 1}, {1, 0}} {
+			start := len(out)
+			out = g.match(p.kids[0], n.in[ord[0]], false, bind, out)
+			mid := len(out)
+			for i := start; i < mid; i++ {
+				out = g.match(p.kids[1], n.in[ord[1]], false, out[i], out)
 			}
+			out = out[:start+copy(out[start:], out[mid:])]
 		}
 	}
-	return results, bind
+	return out
 }
 
-// matches returns all leaf bindings for pattern p rooted at subject node s.
-func (g *subjGraph) matches(p pattern, s int) [][]int {
-	r, _ := g.match(p.tree, s, true, nil)
+// matches returns all leaf bindings for pattern p rooted at subject node
+// s, in buf's storage.
+func (g *subjGraph) matches(p pattern, s int, buf []binding) []binding {
+	r := g.match(p.tree, s, true, binding{}, buf[:0])
 	// Deduplicate identical bindings (commutativity can produce repeats
-	// when both orders bind the same way).
-	seen := map[string]bool{}
-	var out [][]int
+	// when both orders bind the same way), keeping first occurrences in
+	// order. A node has a handful of bindings, so a pairwise compare
+	// beats hashing them.
+	out := r[:0]
 	for _, b := range r {
-		key := fmt.Sprint(b)
-		if !seen[key] {
-			seen[key] = true
+		if !slices.Contains(out, b) {
 			out = append(out, b)
 		}
 	}
