@@ -87,20 +87,20 @@ chaos:
 # netfault injection on every peer link (partitions, corruption, resets)
 # plus the partition-tolerance machinery it exercises — result
 # replication, digest rejection, anti-entropy repair, hedge-loser
-# cancellation, deadline-driven hedge suppression, and flap damping.
+# cancellation, and deadline-driven hedge suppression.
 chaos-net:
 	$(GO) test -race -count=1 ./internal/netfault/
 	$(GO) test -race -count=1 \
-		-run 'TestChaosNet|TestHedgeLoser|TestDeadline|TestFlapDamping|TestResponseDigest|TestResults' \
+		-run 'TestChaosNet|TestHedgeLoser|TestDeadline|TestResponseDigest|TestResults' \
 		./internal/cluster/ ./internal/serve/
 
 # The dynamic-membership chaos suite under the race detector: a 5-node
 # gossip cluster survives a rolling restart (every node drained, killed,
 # rejoined cold) losing zero completed results with byte-identical
 # answers and zero recomputes, plus the membership edge cases — join
-# during a partition, suspect refutation by incarnation bump, stale
-# views rejected on rejoin, and the drain gate's no-new-admissions
-# guarantee.
+# during a partition, suspect refutation by incarnation bump, a
+# two-sided dead split healed by re-join, stale views rejected on
+# rejoin, and the drain gate's no-new-admissions guarantee.
 chaos-rolling:
 	$(GO) test -race -count=1 ./internal/gossip/
 	$(GO) test -race -count=1 \

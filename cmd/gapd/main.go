@@ -11,8 +11,8 @@
 //	     [-store-max-bytes N] [-scrub-interval 1m] [-scrub-rate N]
 //	     [-scrub-seed N] [-drain-timeout 30s] [-max-queue N]
 //	     [-max-per-client N] [-node-id ID -peers ID=URL,...]
-//	     [-hedge-after 50ms] [-replicas N] [-antientropy-interval 30s]
-//	     [-gossip -advertise URL] [-gossip-interval 250ms]
+//	     [-advertise URL] [-hedge-after 50ms] [-replicas N]
+//	     [-antientropy-interval 30s] [-gossip-interval 250ms]
 //	     [-gossip-seed N] [-version]
 //
 // With -journal, every accepted job is written ahead to an fsynced JSONL
@@ -41,31 +41,32 @@
 // varies the deterministic scan origin across nodes so a fleet does not
 // scrub in lockstep; -scrub-interval 0 disables scrubbing.
 //
-// With -peers (a static membership of id=url pairs including this node,
-// named by -node-id), N gapd processes become one sharded service: each
-// spec has one owner by rendezvous hashing over its content address,
-// requests are forwarded to their owners (hedged past -hedge-after), and
-// a dead owner's slice is computed by the next node in order — see
+// Clustering: with -node-id and -peers (comma-separated id=url pairs),
+// N gapd processes become one sharded service. The peer list seeds the
+// node's membership view — every listed node starts alive, so the
+// cluster routes at once — and from then on membership is SWIM-style
+// gossip over POST /v1/gossip: probe rounds every -gossip-interval
+// (target order seeded by -gossip-seed), indirect ping-req probes, and
+// incarnation-numbered alive/suspect/dead states. The node advertises
+// itself at its own -peers URL, or at -advertise when the list omits it
+// (a node joining an existing cluster lists only a few seeds; the first
+// node of a new one may list none). Each spec has one owner by
+// rendezvous hashing over its content address; requests are forwarded
+// to their owners (hedged past -hedge-after), and a suspect or dead
+// owner's slice is computed by the next node in order — see
 // internal/cluster. Completed results are replicated to the first
 // -replicas nodes in rendezvous order and repaired by a background
 // anti-entropy sweep every -antientropy-interval, so a partitioned
-// owner's finished work stays servable. Setting GAPD_NETFAULT to a
-// netfault plan (e.g. "seed=7,partition=0.05,corrupt=0.01") injects
-// deterministic network faults into every peer-facing request — the
-// chaos drill for a real multi-process cluster.
-//
-// With -gossip, membership is dynamic instead of a boot list: the node
-// advertises itself at -advertise, announces its join to the -peers
-// seed contacts (none needed for the first node), and from then on the
-// cluster converges by SWIM-style gossip over POST /v1/gossip — probe
-// rounds every -gossip-interval, indirect ping-req probes, incarnation-
-// numbered alive/suspect/dead states. Ownership re-ranks live as nodes
+// owner's finished work stays servable. Ownership re-ranks live as nodes
 // join and leave, and completed results migrate to their new owners
-// over the replication endpoints instead of being recomputed. On
-// SIGTERM the node drains first: it announces the drain (new work flows
-// to the next rendezvous rank), finishes in-flight jobs, hands every
-// held result off, and only then leaves — a rolling restart loses
-// nothing. POST /v1/drain triggers the same sequence remotely.
+// instead of being recomputed. On SIGTERM the node drains first: it
+// announces the drain (new work flows to the next rendezvous rank),
+// finishes in-flight jobs, hands every held result off, and only then
+// leaves — a rolling restart loses nothing. POST /v1/drain triggers the
+// same sequence remotely. Setting GAPD_NETFAULT to a netfault plan (e.g.
+// "seed=7,partition=0.05,corrupt=0.01") injects deterministic network
+// faults into every peer-facing request — the chaos drill for a real
+// multi-process cluster.
 package main
 
 import (
@@ -108,10 +109,10 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "admission queue depth beyond workers before shedding 429s (0 = 4x workers, negative disables)")
 	maxPerClient := flag.Int("max-per-client", 0, "concurrent submissions per client (0 = 2x workers, negative disables)")
 	maxAttempts := flag.Int("max-attempts", 0, "attempts per job incl. retries (0 = 3)")
-	nodeID := flag.String("node-id", "", "this node's id within -peers (required with -peers)")
-	peersFlag := flag.String("peers", "", "static cluster membership as comma-separated id=url pairs incl. this node (empty = single node); with -gossip, the seed contacts to announce the join to")
-	gossipOn := flag.Bool("gossip", false, "dynamic SWIM-style membership: join via the -peers seed contacts, probe every -gossip-interval, hand ownership off on drain")
-	advertise := flag.String("advertise", "", "this node's externally reachable base URL (required with -gossip)")
+	nodeID := flag.String("node-id", "", "this node's cluster id (required with -peers or -advertise)")
+	peersFlag := flag.String("peers", "", "cluster seed list as comma-separated id=url pairs, this node included or not (empty = single node)")
+	flag.Bool("gossip", false, "accepted and ignored: every clustered node gossips")
+	advertise := flag.String("advertise", "", "this node's externally reachable base URL (default: its own -peers URL; required when -peers omits it)")
 	gossipInterval := flag.Duration("gossip-interval", 250*time.Millisecond, "spacing of gossip protocol rounds")
 	gossipSeed := flag.Int64("gossip-seed", 1, "seed for the deterministic probe/ping-req target selection")
 	hedgeAfter := flag.Duration("hedge-after", 50*time.Millisecond, "latency threshold before a forwarded request is hedged to the next node in rendezvous order (negative disables)")
@@ -242,7 +243,7 @@ func main() {
 	}()
 
 	var clu *cluster.Cluster
-	if *peersFlag != "" || *gossipOn {
+	if *peersFlag != "" || *advertise != "" {
 		var peers []cluster.Peer
 		if *peersFlag != "" {
 			var err error
@@ -263,13 +264,11 @@ func main() {
 			// anti-entropy repair and drain handoff must cover results
 			// the cache has evicted but the store still holds.
 			Results: pool.StoredView(),
-		}
-		if *gossipOn {
-			opts.Gossip = &cluster.GossipOptions{
+			Gossip: cluster.GossipOptions{
 				SelfURL:  *advertise,
 				Seed:     *gossipSeed,
 				Interval: *gossipInterval,
-			}
+			},
 		}
 		// GAPD_NETFAULT injects deterministic network faults into every
 		// peer-facing request — chaos drills against a real multi-process
@@ -342,11 +341,11 @@ func main() {
 		log.Printf("gapd: shutting down (drain limit %v)", *drainTimeout)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
-		// Under gossip membership, drain before closing the listener:
-		// announce the drain (ownership re-ranks away from this node,
-		// fresh requests shed to the next rendezvous rank) and migrate
-		// every held result to its new home while still serving.
-		if clu != nil && clu.GossipEnabled() {
+		// A clustered node drains before closing the listener: announce
+		// the drain (ownership re-ranks away from this node, fresh
+		// requests shed to the next rendezvous rank) and migrate every
+		// held result to its new home while still serving.
+		if clu != nil {
 			if migrated, err := handler.StartDrain(shutdownCtx); err != nil {
 				log.Printf("gapd: drain handoff incomplete (%d results migrated): %v", migrated, err)
 			} else {
@@ -364,7 +363,7 @@ func main() {
 		// flight; wait for them before the final handoff sweep counts
 		// what is left to migrate (and before Leave tears the peer down).
 		handler.Quiesce()
-		if clu != nil && clu.GossipEnabled() {
+		if clu != nil {
 			// Results that completed during the drain window migrate in a
 			// final sweep now that the server has quiesced; then announce
 			// clean departure so peers record "left", not "dead".

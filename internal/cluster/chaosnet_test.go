@@ -25,6 +25,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/jobs"
 	"repro/internal/netfault"
+	"repro/internal/serve"
 )
 
 // netTweak builds a startCluster tweak that wires the shared injector
@@ -204,19 +205,22 @@ func TestChaosNetAntiEntropyRepairs(t *testing.T) {
 
 			// Cut owner->replica before the job runs: the completion-time
 			// push fails, the result exists only on the owner. The async
-			// push is the only owner->replica traffic, so the injector's
-			// partition counter observing >= 1 proves it fired and died —
-			// only then is healing safe (healing earlier would let a slow
-			// push goroutine replicate through the healed link and leave
-			// anti-entropy nothing to repair).
+			// push runs off the response path, so wait for the owner's
+			// handler to quiesce — only then is healing safe (healing
+			// earlier would let a slow push goroutine replicate through
+			// the healed link and leave anti-entropy nothing to repair).
+			// The compute's replica lookup crosses the same cut link
+			// before the push, so the push is proven to have fired and
+			// died only by a second partition hit on top of the lookup's.
 			inj.Partition(owner.id, replica.id)
+			before := inj.Partitions.Load()
 			res := submit(t, owner, spec)
-			pushDeadline := time.Now().Add(5 * time.Second)
-			for inj.Partitions.Load() == 0 && time.Now().Before(pushDeadline) {
-				time.Sleep(2 * time.Millisecond)
-			}
-			if inj.Partitions.Load() == 0 {
-				t.Fatal("completion-time push never hit the cut link")
+			owner.mu.Lock()
+			h := owner.inner.(*serve.Handler)
+			owner.mu.Unlock()
+			h.Quiesce()
+			if hits := inj.Partitions.Load() - before; hits < 2 {
+				t.Fatalf("completion-time push never hit the cut link: %d partition hits, want the lookup's and the push's", hits)
 			}
 			if _, ok := replica.pool.Cache().Get(res.ID); ok {
 				t.Fatal("replica received the push through a cut link")

@@ -241,7 +241,7 @@ func (c *Cluster) Forward(ctx context.Context, path string, spec jobs.Spec, rt R
 			}
 			if raceCtx.Err() == nil {
 				// A real peer failure, not a canceled straggler.
-				c.reportFailure(a.peer.ID, a.err)
+				c.reportFailure(a.peer.ID)
 				c.metrics.ForwardErrors.Add(1)
 			}
 			if firstErr == nil {

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/gossip"
 	"repro/internal/jobs"
 	"repro/internal/serve"
 )
@@ -53,17 +54,11 @@ type node struct {
 	// client canceled the request mid-delay — how a test observes that a
 	// losing hedge leg was actually canceled, not just ignored.
 	abortedDelays atomic.Int64
-	// healthz503 makes the node's /healthz report degraded.
-	healthz503 atomic.Bool
 	// puts counts replica pushes (PUT requests) the node received.
 	puts atomic.Int64
 }
 
 func (n *node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if n.healthz503.Load() && r.URL.Path == "/healthz" {
-		http.Error(w, `{"status":"degraded"}`, http.StatusServiceUnavailable)
-		return
-	}
 	n.mu.Lock()
 	h := n.inner
 	n.mu.Unlock()
@@ -95,10 +90,11 @@ func (n *node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(w, r)
 }
 
-// startCluster boots n nodes that know each other by URL. Probing is off
-// by default (ProbeInterval an hour, never started) so health state moves
-// only through passive forward reports — deterministic for the chaos
-// tests; tweak overrides per-test knobs.
+// startCluster boots n nodes seeded with each other's URLs. Every view
+// starts with every node alive and the gossip loop is never started, so
+// membership moves only through passive forward reports (one torn
+// forward makes the peer suspect, and routing skips it) — deterministic
+// for the chaos tests; tweak overrides per-test knobs.
 func startCluster(t testing.TB, n int, tweak func(*cluster.Options)) []*node {
 	return startClusterPools(t, n, nil, tweak)
 }
@@ -135,8 +131,6 @@ func startClusterPools(t testing.TB, n int, poolOpt func(id string) jobs.Options
 			Peers:          peers,
 			HedgeAfter:     -1, // hedging off unless the test turns it on
 			RequestTimeout: 30 * time.Second,
-			ProbeInterval:  time.Hour,
-			DeadAfter:      1, // one torn forward = dead, no probe wait
 			// The cluster-facing result set is cache ∪ store, the same
 			// view gapd wires: anti-entropy and replica reads must cover
 			// what the cache evicted but the store still holds.
@@ -254,7 +248,7 @@ func submitServed(t *testing.T, nd *node, spec jobs.Spec) (*jobs.Result, jobs.Pr
 // fallback path: for every spec kind and every chaos seed, the spec's
 // true owner is killed mid-run (it computes, then the connection tears
 // before the reply), and a surviving node must still answer — first by
-// racing down the rendezvous order, then, with the owner marked dead, by
+// racing down the rendezvous order, then, with the owner suspect, by
 // the route-time fallback — with results byte-identical to the
 // single-node serial reference.
 func TestChaosClusterOwnerKill(t *testing.T) {
@@ -281,8 +275,8 @@ func TestChaosClusterOwnerKill(t *testing.T) {
 						spec.Kind, got, want)
 				}
 
-				// Second submission: the entry node now knows the owner is
-				// dead and routes around it at decision time (fallback).
+				// Second submission: the entry node now suspects the owner
+				// and routes around it at decision time (fallback).
 				res2 := submit(t, entry, spec)
 				if got, want := normalizedJSON(t, res2), ref[res2.ID]; !bytes.Equal(got, want) {
 					t.Errorf("%s: fallback result differs from serial reference", spec.Kind)
@@ -294,7 +288,7 @@ func TestChaosClusterOwnerKill(t *testing.T) {
 						spec.Kind, c["forward_errors"])
 				}
 				if c["cluster_fallback"] < 1 {
-					t.Errorf("%s: cluster_fallback = %d, want >= 1 (the dead-owner reroute)",
+					t.Errorf("%s: cluster_fallback = %d, want >= 1 (the suspect-owner reroute)",
 						spec.Kind, c["cluster_fallback"])
 				}
 			}
@@ -307,7 +301,7 @@ func TestChaosClusterOwnerKill(t *testing.T) {
 // next node in rendezvous order wins the race, and the answer is still
 // byte-identical to the serial reference — the property determinism
 // buys: a hedge can never return a different result, only an earlier
-// one. The slow owner must not be marked dead (slowness is not death).
+// one. The slow owner must not be suspected (slowness is not death).
 func TestChaosClusterHedged(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -339,10 +333,8 @@ func TestChaosClusterHedged(t *testing.T) {
 					t.Errorf("%s: hedged request took %v, owner delay is %v", spec.Kind, elapsed, ownerDelay)
 				}
 
-				for _, ps := range entry.clu.Status().Peers {
-					if ps.ID == owner.id && ps.Health == cluster.HealthDead {
-						t.Errorf("%s: slow owner %s marked dead by a hedge", spec.Kind, owner.id)
-					}
+				if m, _ := memberRecord(entry, owner.id); m.State == gossip.StateSuspect || m.State == gossip.StateDead {
+					t.Errorf("%s: slow owner %s marked %s by a hedge", spec.Kind, owner.id, m.State)
 				}
 			}
 
@@ -471,41 +463,23 @@ func TestBadSpecVerdictRelayed(t *testing.T) {
 	}
 }
 
-// TestMembershipProbes drives the active health loop: a peer moves
-// alive -> degraded (healthz 503) -> dead (server gone) as probes
-// observe it, and a dead owner's keys route to the survivor.
+// TestMembershipProbes drives the running gossip loop: a peer whose
+// server is gone fails its probes, is suspected, and is declared dead
+// when the suspicion window closes; a dead owner's keys then route to
+// the survivor.
 func TestMembershipProbes(t *testing.T) {
 	nodes := startCluster(t, 2, func(o *cluster.Options) {
-		o.ProbeInterval = 10 * time.Millisecond
-		o.ProbeTimeout = 250 * time.Millisecond
-		o.DeadAfter = 2
+		o.Gossip.Interval = 10 * time.Millisecond
+		o.Gossip.ProbeTimeout = 250 * time.Millisecond
 	})
 	a, b := nodes[0], nodes[1]
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	a.clu.Start(ctx)
 
-	waitHealth := func(want cluster.Health) {
-		t.Helper()
-		deadline := time.Now().Add(3 * time.Second)
-		for time.Now().Before(deadline) {
-			for _, ps := range a.clu.Status().Peers {
-				if ps.ID == b.id && ps.Health == want {
-					return
-				}
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("peer %s never became %s", b.id, want)
-	}
-
-	waitHealth(cluster.HealthAlive)
-	b.healthz503.Store(true)
-	waitHealth(cluster.HealthDegraded)
-	b.healthz503.Store(false)
-	waitHealth(cluster.HealthAlive)
+	waitMemberState(t, a, b.id, gossip.StateAlive)
 	b.srv.Close()
-	waitHealth(cluster.HealthDead)
+	waitMemberState(t, a, b.id, gossip.StateDead)
 
 	// Every key b owned now routes to a, locally, flagged as fallback.
 	remapped := false
@@ -514,15 +488,64 @@ func TestMembershipProbes(t *testing.T) {
 		if !rt.Local {
 			t.Errorf("%s: route with sole survivor not local: %+v", spec.Kind, rt)
 		}
-		if rt.Owner == b.id {
+		if nodes[1].clu.Ring().Owner(spec.Hash()) == b.id {
 			remapped = true
-			if !rt.Fallback {
-				t.Errorf("%s: dead owner's key not flagged fallback", spec.Kind)
+			if rt.Owner != a.id {
+				t.Errorf("%s: dead owner's key still owned by %s", spec.Kind, rt.Owner)
 			}
 		}
 	}
 	if !remapped {
 		t.Skip("no batch key owned by the dead peer; ownership test covers remapping")
+	}
+}
+
+// TestSuspectOwnerRoutedAround pins what one failed forward does: the
+// owner becomes suspect but keeps its ring slot (the ring generation
+// does not move), Route skips it as a fallback, and one piece of direct
+// evidence that it is alive — here a gossip exchange it sends — makes
+// it the forward target again.
+func TestSuspectOwnerRoutedAround(t *testing.T) {
+	nodes := startCluster(t, 3, nil)
+	spec := clusterBatch(21)[0]
+	hash := spec.Hash()
+	owner := byID(t, nodes, nodes[0].clu.Ring().Owner(hash))
+	entry := otherThan(nodes, owner)
+	genBefore := entry.clu.Status().RingGen
+
+	owner.abortPosts.Store(true)
+	submit(t, entry, spec) // the forward to the owner tears
+	owner.abortPosts.Store(false)
+
+	if m, _ := memberRecord(entry, owner.id); m.State != gossip.StateSuspect {
+		t.Fatalf("owner after a failed forward: %+v, want suspect", m.Member)
+	}
+	if gen := entry.clu.Status().RingGen; gen != genBefore {
+		t.Errorf("ring generation moved %d -> %d on suspicion", genBefore, gen)
+	}
+	rt := entry.clu.Route(hash)
+	if rt.Owner != owner.id || !rt.Fallback {
+		t.Errorf("route with a suspect owner = %+v, want owner %s with fallback", rt, owner.id)
+	}
+	for _, p := range rt.Targets {
+		if p.ID == owner.id {
+			t.Errorf("suspect owner still a forward target: %+v", rt)
+		}
+	}
+
+	ack, err := json.Marshal(cluster.GossipMsg{From: owner.id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(entry.srv.URL+cluster.GossipPath, "application/json", bytes.NewReader(ack))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	rt = entry.clu.Route(hash)
+	if rt.Fallback || rt.Local || len(rt.Targets) == 0 || rt.Targets[0].ID != owner.id {
+		t.Errorf("route after the owner was heard alive = %+v, want a forward to %s", rt, owner.id)
 	}
 }
 
@@ -539,10 +562,10 @@ func TestClusterEndpoints(t *testing.T) {
 	var st struct {
 		Self         string  `json:"self"`
 		HedgeAfterMS float64 `json:"hedge_after_ms"`
-		Peers        []struct {
-			ID     string `json:"id"`
-			Health string `json:"health"`
-		} `json:"peers"`
+		Members      []struct {
+			ID    string `json:"id"`
+			State string `json:"state"`
+		} `json:"members"`
 		Ownership struct {
 			Sample int                `json:"sample"`
 			Shares map[string]float64 `json:"shares"`
@@ -557,8 +580,8 @@ func TestClusterEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Self != entry.id || len(st.Peers) != 3 {
-		t.Errorf("cluster status self=%q peers=%d", st.Self, len(st.Peers))
+	if st.Self != entry.id || len(st.Members) != 3 {
+		t.Errorf("cluster status self=%q members=%d", st.Self, len(st.Members))
 	}
 	total := 0.0
 	for _, s := range st.Ownership.Shares {

@@ -62,6 +62,9 @@ type gossipRunner struct {
 	interval time.Duration
 	timeout  time.Duration
 	seeds    []Peer // boot contacts, self excluded
+	// rejoinAt is the round-robin cursor over seeds for the per-round
+	// re-join of a seed held dead (loop goroutine only).
+	rejoinAt int
 
 	// mu serializes ring rebuilds and the view→metrics stat sync.
 	mu        sync.Mutex
@@ -77,11 +80,17 @@ type gossipRunner struct {
 	sweepDone chan struct{}
 }
 
-func newGossipRunner(c *Cluster, opt Options, seeds []Peer) (*gossipRunner, error) {
+// newGossipRunner builds the membership view — self plus every seed
+// merged in alive at incarnation 0, the optimistic start that lets a
+// cluster route the moment it boots — and the first ring over it. A
+// fresher record (a peer that left or was declared dead at a higher
+// incarnation) overrides a seed on the first exchange that carries it.
+func newGossipRunner(c *Cluster, self string, opt GossipOptions, seeds []Peer) (*gossipRunner, error) {
 	g := &gossipRunner{
 		c:        c,
-		interval: opt.Gossip.Interval,
-		timeout:  opt.Gossip.ProbeTimeout,
+		interval: opt.Interval,
+		timeout:  opt.ProbeTimeout,
+		seeds:    seeds,
 		sweepCh:  make(chan struct{}, 1),
 	}
 	if g.interval <= 0 {
@@ -90,31 +99,25 @@ func newGossipRunner(c *Cluster, opt Options, seeds []Peer) (*gossipRunner, erro
 	if g.timeout <= 0 {
 		g.timeout = time.Second
 	}
-	for _, p := range seeds {
-		if p.ID != opt.SelfID {
-			g.seeds = append(g.seeds, p)
-		}
-	}
 	view, err := gossip.NewView(gossip.Config{
-		SelfID:        opt.SelfID,
-		SelfURL:       strings.TrimRight(opt.Gossip.SelfURL, "/"),
-		Weight:        opt.Gossip.Weight,
-		Seed:          opt.Gossip.Seed,
-		SuspectRounds: opt.Gossip.SuspectRounds,
-		PingReqFanout: opt.Gossip.PingReqFanout,
+		SelfID:        self,
+		SelfURL:       strings.TrimRight(opt.SelfURL, "/"),
+		Weight:        opt.Weight,
+		Seed:          opt.Seed,
+		SuspectRounds: opt.SuspectRounds,
+		PingReqFanout: opt.PingReqFanout,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
+	boot := make([]gossip.Member, len(seeds))
+	for i, p := range seeds {
+		boot[i] = gossip.Member{ID: p.ID, URL: p.URL, Weight: p.Weight, State: gossip.StateAlive}
+	}
+	view.Merge(boot)
 	g.view = view
-	g.lastGen = view.Gen()
+	g.rebuildRing()
 	return g, nil
-}
-
-// routable reports whether the view allows routing to id.
-func (g *gossipRunner) routable(id string) bool {
-	st, ok := g.view.State(id)
-	return ok && st.Routable()
 }
 
 // draining reports whether this node has announced a drain.
@@ -162,44 +165,74 @@ func (g *gossipRunner) stop() {
 // that others will join.
 func (g *gossipRunner) join(ctx context.Context) {
 	for _, p := range g.seeds {
-		jctx, cancel := context.WithTimeout(ctx, g.timeout)
-		_, err := g.exchange(jctx, p.URL, nil)
-		cancel()
-		_ = err // unreachable seed: the periodic loop keeps trying via merged members
+		g.contact(ctx, p)
 	}
 	g.syncStats()
 	g.maybeRebuild()
 }
 
+// contact runs one join exchange with a seed, best effort: an
+// unreachable seed is retried by later rounds (see rejoinDead).
+func (g *gossipRunner) contact(ctx context.Context, p Peer) {
+	jctx, cancel := context.WithTimeout(ctx, g.timeout)
+	_, err := g.exchange(jctx, p.URL, nil)
+	cancel()
+	_ = err
+}
+
 // round runs one protocol round: probe the next target in the seeded
 // scan order, fall back to indirect ping-req probes through up to
-// fanout proxies, and suspect the target when both fail.
+// fanout proxies, and suspect the target when both fail. Every round
+// then re-joins one seed this view holds dead (see rejoinDead).
 func (g *gossipRunner) round(ctx context.Context) {
 	_, target, ok := g.view.BeginRound()
 	g.c.metrics.GossipRounds.Add(1)
 	if ok {
-		pctx, cancel := context.WithTimeout(ctx, g.timeout)
-		_, err := g.exchange(pctx, target.URL, nil)
-		cancel()
-		if err != nil {
-			acked := false
-			for _, proxy := range g.view.PingReqProxies(target.ID) {
-				ictx, icancel := context.WithTimeout(ctx, g.timeout)
-				ack, ierr := g.exchange(ictx, proxy.URL, &PingReq{ID: target.ID, URL: target.URL})
-				icancel()
-				if ierr == nil && ack.PingReqOK {
-					acked = true
-					g.view.ObserveAlive(target.ID)
-					break
-				}
-			}
-			if !acked {
-				g.view.ObserveFailure(target.ID)
-			}
-		}
+		g.probe(ctx, target)
 	}
+	g.rejoinDead(ctx)
 	g.syncStats()
 	g.maybeRebuild()
+}
+
+// probe checks one target directly, then through ping-req proxies,
+// and suspects it when neither answers.
+func (g *gossipRunner) probe(ctx context.Context, target gossip.Member) {
+	pctx, cancel := context.WithTimeout(ctx, g.timeout)
+	_, err := g.exchange(pctx, target.URL, nil)
+	cancel()
+	if err == nil {
+		return
+	}
+	for _, proxy := range g.view.PingReqProxies(target.ID) {
+		ictx, icancel := context.WithTimeout(ctx, g.timeout)
+		ack, ierr := g.exchange(ictx, proxy.URL, &PingReq{ID: target.ID, URL: target.URL})
+		icancel()
+		if ierr == nil && ack.PingReqOK {
+			g.view.ObserveAlive(target.ID)
+			return
+		}
+	}
+	g.view.ObserveFailure(target.ID)
+}
+
+// rejoinDead sends the join exchange to the next seed, in -peers order
+// round-robin, that this view holds dead. Nothing else ever contacts a
+// dead member — probes, ping-req proxies, the ring and anti-entropy all
+// skip it — so after a partition that outlived the suspicion window,
+// with each side holding the other dead, this exchange is the only
+// traffic that crosses the healed cut: it carries each side's verdict
+// to the other, and the refutations in Merge restore both. It costs
+// nothing while no seed is dead.
+func (g *gossipRunner) rejoinDead(ctx context.Context) {
+	for range g.seeds {
+		p := g.seeds[g.rejoinAt%len(g.seeds)]
+		g.rejoinAt++
+		if st, ok := g.view.State(p.ID); ok && st == gossip.StateDead {
+			g.contact(ctx, p)
+			return
+		}
+	}
 }
 
 // exchange POSTs this node's view to url and merges the answer.
@@ -280,11 +313,20 @@ func (g *gossipRunner) syncStats() {
 // changed since the last build, then queues a handoff sweep — results
 // this node holds may have new homes under the new ranking.
 func (g *gossipRunner) maybeRebuild() {
+	if g.rebuildRing() {
+		g.triggerSweep()
+	}
+}
+
+// rebuildRing swaps in the ring over the view's current ring members
+// and reports whether it did, i.e. whether the ring generation moved
+// since the last build.
+func (g *gossipRunner) rebuildRing() bool {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	gen := g.view.Gen()
 	if gen == g.lastGen {
-		g.mu.Unlock()
-		return
+		return false
 	}
 	g.lastGen = gen
 	members := g.view.RingMembers()
@@ -298,8 +340,7 @@ func (g *gossipRunner) maybeRebuild() {
 	// A draining singleton yields an empty ring; Route's empty-rank
 	// guard keeps the node answering locally.
 	g.c.view.Store(&ringView{ring: NewRing(peers, g.c.vnodes), peers: byID})
-	g.mu.Unlock()
-	g.triggerSweep()
+	return true
 }
 
 // triggerSweep queues a background handoff sweep (single-flight).
@@ -328,22 +369,32 @@ func (g *gossipRunner) sweepLoop(ctx context.Context) {
 // rendezvous order under the live ring, self excluded). Receivers dedup
 // — 201 means the result was actually missing at its new home and is
 // counted as a migration; an unreachable or rejecting target counts as
-// unplaced so a drain can retry until clean.
+// unplaced so a drain can retry until clean. So does every result a
+// canceled sweep did not reach, and every held result when the ring is
+// empty (this node drained out of it and no peer is in it) while some
+// peer may yet return to take it: "no live target" is not "placed".
 func (g *gossipRunner) handoffSweep(ctx context.Context) (migrated, unplaced int) {
 	c := g.c
 	if c.results == nil {
 		return 0, 0
 	}
-	for _, id := range c.results.Keys() {
+	homeless := c.rv().ring.Len() == 0 && g.peerMayReturn()
+	keys := c.results.Keys()
+	for i, id := range keys {
 		if ctx.Err() != nil {
-			return migrated, unplaced
+			// An interrupted sweep has not placed what it did not reach.
+			return migrated, unplaced + len(keys) - i
 		}
 		res, ok := c.results.Get(id)
 		if !ok {
 			continue
 		}
+		if homeless {
+			unplaced++
+			continue
+		}
 		for _, p := range c.handoffTargets(id) {
-			if !g.routable(p.ID) {
+			if st, ok := g.view.State(p.ID); !ok || !st.Routable() {
 				unplaced++
 				continue
 			}
@@ -360,6 +411,20 @@ func (g *gossipRunner) handoffSweep(ctx context.Context) (migrated, unplaced int
 		}
 	}
 	return migrated, unplaced
+}
+
+// peerMayReturn reports whether the view holds a peer that could yet
+// take a handoff: one that is alive, suspect, or dead — a death verdict
+// can be refuted. A peer that left, or is draining itself, never will,
+// so a node whose every peer is gone that way is a true singleton and
+// its drain is a clean no-op.
+func (g *gossipRunner) peerMayReturn() bool {
+	for _, m := range g.view.Records() {
+		if m.ID != g.c.self && m.State != gossip.StateLeft && m.State != gossip.StateDraining {
+			return true
+		}
+	}
+	return false
 }
 
 // drain announces the drain, re-ranks the ring without this node, and
@@ -414,13 +479,9 @@ func (g *gossipRunner) leave(ctx context.Context) {
 
 // HandleGossip folds one incoming POST /v1/gossip exchange into the
 // membership view and returns the ack to send back. It is the serve
-// layer's entry point; calling it on a static-membership node is a
-// config error the handler maps to 404.
-func (c *Cluster) HandleGossip(ctx context.Context, msg GossipMsg) (GossipAck, error) {
-	if c.gossip == nil {
-		return GossipAck{}, fmt.Errorf("%w: gossip membership disabled on this node", ErrConfig)
-	}
-	return c.gossip.handle(ctx, msg), nil
+// layer's entry point.
+func (c *Cluster) HandleGossip(ctx context.Context, msg GossipMsg) GossipAck {
+	return c.gossip.handle(ctx, msg)
 }
 
 // Drain announces that this node is leaving the ring, migrates every
@@ -431,33 +492,21 @@ func (c *Cluster) HandleGossip(ctx context.Context, msg GossipMsg) (GossipAck, e
 // results already replicated elsewhere are still safe, and anti-entropy
 // on the survivors converges the rest.
 func (c *Cluster) Drain(ctx context.Context) (int, error) {
-	if c.gossip == nil {
-		return 0, fmt.Errorf("%w: drain requires gossip membership", ErrConfig)
-	}
 	return c.gossip.drain(ctx)
 }
 
 // Draining reports whether this node has announced a drain.
-func (c *Cluster) Draining() bool {
-	return c.gossip != nil && c.gossip.draining()
-}
+func (c *Cluster) Draining() bool { return c.gossip.draining() }
 
 // Leave announces clean departure to the cluster (best effort). Call
 // after the final handoff, immediately before process exit.
-func (c *Cluster) Leave(ctx context.Context) {
-	if c.gossip != nil {
-		c.gossip.leave(ctx)
-	}
-}
+func (c *Cluster) Leave(ctx context.Context) { c.gossip.leave(ctx) }
 
 // HandoffNow runs one synchronous handoff sweep and returns the number
 // of results newly placed elsewhere. The shutdown path calls it after
 // the HTTP server has quiesced so results completed during the drain
 // window migrate too.
 func (c *Cluster) HandoffNow(ctx context.Context) int {
-	if c.gossip == nil {
-		return 0
-	}
 	migrated, _ := c.gossip.handoffSweep(ctx)
 	return migrated
 }

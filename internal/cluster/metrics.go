@@ -14,7 +14,7 @@ type Metrics struct {
 	// sat past the latency threshold.
 	Hedged atomic.Int64
 	// Fallback counts requests served away from their true owner — the
-	// owner was dead or unreachable, so the next node in rendezvous
+	// owner was suspect or unreachable, so the next node in rendezvous
 	// order (possibly this one) computed without the warm cache.
 	Fallback atomic.Int64
 	// ForwardErrors counts individual peer requests that failed with an
@@ -41,10 +41,6 @@ type Metrics struct {
 	// — each one a recompute the scrub + repair machinery did not pay
 	// for.
 	ReadRepaired atomic.Int64
-	// FlapsSuppressed counts dead->alive promotions withheld by flap
-	// damping because the peer had not yet produced the required streak
-	// of consecutive probe successes.
-	FlapsSuppressed atomic.Int64
 	// HedgesSuppressed counts forwards whose hedge was disabled because
 	// the request's remaining deadline budget was smaller than the hedge
 	// threshold — a hedge that cannot finish is load, not insurance.
@@ -86,7 +82,6 @@ func (m *Metrics) Counters() map[string]int64 {
 		"cluster_replica_hits":         m.ReplicaHits.Load(),
 		"cluster_antientropy_repaired": m.AntiEntropyRepaired.Load(),
 		"cluster_read_repaired":        m.ReadRepaired.Load(),
-		"cluster_flaps_suppressed":     m.FlapsSuppressed.Load(),
 		"cluster_hedges_suppressed":    m.HedgesSuppressed.Load(),
 		"cluster_gossip_rounds":        m.GossipRounds.Load(),
 		"cluster_handoff_migrated":     m.HandoffMigrated.Load(),

@@ -3,7 +3,7 @@ package cluster
 import "sort"
 
 // Ownership is rendezvous (highest-random-weight) hashing over the job's
-// content address: every node, given only the static peer set and a spec
+// content address: every node, given only the ring members and a spec
 // hash, computes the same owner with zero coordination. Removing a peer
 // remaps only the keys that peer owned — every other key keeps its owner
 // (and therefore its warm cache entry). Virtual nodes smooth the split

@@ -1,7 +1,7 @@
 // Rolling-restart and dynamic-membership chaos suite. Where
-// cluster_test.go drives static clusters through owner-kill and
-// slow-owner chaos, this file drives gossip-mode clusters through the
-// full membership lifecycle — join, suspicion, refutation, drain,
+// cluster_test.go drives seeded, never-started clusters through
+// owner-kill and slow-owner chaos, this file drives running gossip
+// clusters through the full membership lifecycle — join, suspicion, refutation, drain,
 // departure, rejoin — and asserts the headline invariant of dynamic
 // membership: a rolling restart of every node in the cluster loses
 // zero completed results, answers stay byte-identical to the serial
@@ -50,10 +50,10 @@ func newGossipNode(t testing.TB, id string) *node {
 	return nd
 }
 
-// bootGossipNode builds the pool, gossip-mode cluster, and serve
-// handler for a shell and starts the protocol loop. seeds are the join
-// contacts (self entries are filtered by the cluster). The gossip
-// interval is short (15ms) so membership converges in test time.
+// bootGossipNode builds the pool, cluster, and serve handler for a
+// shell and starts the protocol loop. seeds are the join contacts (self
+// entries are filtered by the cluster). The gossip interval is short
+// (15ms) so membership converges in test time.
 func bootGossipNode(t testing.TB, nd *node, seeds []cluster.Peer, popt jobs.Options, tweak func(*cluster.Options)) {
 	t.Helper()
 	if popt.Workers == 0 {
@@ -67,7 +67,7 @@ func bootGossipNode(t testing.TB, nd *node, seeds []cluster.Peer, popt jobs.Opti
 		RequestTimeout: 30 * time.Second,
 		Replicas:       2,
 		Results:        nd.pool.Cache(),
-		Gossip: &cluster.GossipOptions{
+		Gossip: cluster.GossipOptions{
 			SelfURL:      nd.srv.URL,
 			Seed:         gossipSeedFor(nd.id),
 			Interval:     15 * time.Millisecond,
@@ -525,7 +525,7 @@ func TestGossipDrainShedsNewWorkWhileFinishing(t *testing.T) {
 
 // TestGossipSuspectRefutation drives the SWIM refutation cycle over
 // real HTTP with a scripted partition: an isolated node is suspected
-// (but not evicted — flap damping keeps suspects in the ring), and on
+// (but not evicted — suspects keep their ring slot), and on
 // heal it refutes the suspicion by bumping its own incarnation, which
 // propagates and restores it to alive everywhere without the ring ever
 // having re-ranked.
@@ -546,7 +546,7 @@ func TestGossipSuspectRefutation(t *testing.T) {
 		bootGossipNode(t, nd, seeds, jobs.Options{}, func(o *cluster.Options) {
 			// The suspicion window is effectively infinite: this test is
 			// about refutation, and a suspect expiring to dead mid-test
-			// would change the ring and muddy the flap-damping assert.
+			// would change the ring and muddy the ring-stability assert.
 			o.Gossip.SuspectRounds = 1 << 20
 			o.WrapTransport = func(rt http.RoundTripper) http.RoundTripper {
 				return inj.Transport(id, resolve, rt)
@@ -562,7 +562,7 @@ func TestGossipSuspectRefutation(t *testing.T) {
 	inj.Isolate("b", "a", "c")
 	waitMemberState(t, a, "b", gossip.StateSuspect)
 
-	// Flap damping: suspicion must not re-rank the ring.
+	// Suspicion must not re-rank the ring.
 	if gen := a.clu.Status().RingGen; gen != genBefore {
 		t.Errorf("ring generation moved %d -> %d on suspicion; suspects must stay in the ring", genBefore, gen)
 	}
@@ -772,4 +772,137 @@ func TestDrainRetryHonorsContext(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Errorf("drain returned %v after a 300ms deadline; the retry loop is not honoring ctx", elapsed)
 	}
+}
+
+// postGossip POSTs a crafted gossip exchange to nd and requires a 200.
+func postGossip(t *testing.T, nd *node, records ...gossip.Member) {
+	t.Helper()
+	body, err := json.Marshal(cluster.GossipMsg{Records: records})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(nd.srv.URL+cluster.GossipPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("gossip exchange to %s: status %d", nd.id, resp.StatusCode)
+	}
+}
+
+// TestDrainWithoutLiveTargetIsIncomplete: a drain whose only peer is
+// held dead has no handoff target, but the result it holds is not
+// placed anywhere — a dead verdict can be refuted, so the drain must
+// keep retrying and report the incomplete handoff at its deadline
+// instead of claiming a clean sweep while the result sits only here.
+func TestDrainWithoutLiveTargetIsIncomplete(t *testing.T) {
+	nodes := startCluster(t, 2, nil)
+	a, b := nodes[0], nodes[1]
+	spec := clusterBatch(11)[0]
+	if resp, raw := postSpec(t, a, spec, true); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compute on a: status %d: %s", resp.StatusCode, raw)
+	}
+	postGossip(t, a, gossip.Member{ID: b.id, URL: b.srv.URL, State: gossip.StateDead})
+	if m, _ := memberRecord(a, b.id); m.State != gossip.StateDead {
+		t.Fatalf("a's record of b after the dead verdict: %+v", m.Member)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	_, err := a.clu.Drain(ctx)
+	if err == nil {
+		t.Fatal("drain reported success while the result had no live target")
+	}
+	if !strings.Contains(err.Error(), "drain handoff incomplete") {
+		t.Errorf("drain error = %v, want the incomplete-handoff message", err)
+	}
+}
+
+// TestGossipPartitionHeals: views that hold each other dead on both
+// sides of a split — a holds b and c dead, b and c hold a dead — must
+// converge back to all-alive on their own. a has nobody to probe and
+// nobody probes a, so only the re-join of a seed held dead can carry
+// the verdicts across for each side to refute.
+func TestGossipPartitionHeals(t *testing.T) {
+	nodes := startGossipCluster(t, []string{"a", "b", "c"}, nil)
+	a, b, c := nodes[0], nodes[1], nodes[2]
+	waitAlive(t, nodes, "a", "b", "c")
+
+	// Each verdict carries the incarnation its receiver holds, so it
+	// overrides the alive record there.
+	dead := func(to, about *node) gossip.Member {
+		m, _ := memberRecord(to, about.id)
+		return gossip.Member{ID: about.id, URL: about.srv.URL, State: gossip.StateDead, Incarnation: m.Incarnation}
+	}
+	postGossip(t, a, dead(a, b), dead(a, c))
+	postGossip(t, b, dead(b, a))
+	postGossip(t, c, dead(c, a))
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		healed := true
+		for _, nd := range nodes {
+			if len(aliveSet(nd)) != 3 {
+				healed = false
+			}
+		}
+		if healed {
+			return
+		}
+		if time.Now().After(deadline) {
+			for _, nd := range nodes {
+				t.Logf("node %s sees alive %v", nd.id, aliveSet(nd))
+			}
+			t.Fatal("views never healed after a two-sided dead split")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestGossipTwoSidedPartitionHeals: a real 2/2 split that outlives the
+// suspicion window leaves {a,b} holding {c,d} dead and {c,d} holding
+// {a,b} dead, while every node still has a live peer on its own side
+// to probe. Once the cut heals nothing routine crosses it — probes,
+// ping-req proxies and the ring all skip dead members — so only the
+// per-round re-join of a seed held dead can converge the views back to
+// four alive members.
+func TestGossipTwoSidedPartitionHeals(t *testing.T) {
+	inj := netfault.New(netfault.Plan{})
+	ids := []string{"a", "b", "c", "d"}
+	hosts := make(map[string]string, len(ids))
+	nodes := make([]*node, len(ids))
+	seeds := make([]cluster.Peer, len(ids))
+	for i, id := range ids {
+		nodes[i] = newGossipNode(t, id)
+		hosts[strings.TrimPrefix(nodes[i].srv.URL, "http://")] = id
+		seeds[i] = cluster.Peer{ID: id, URL: nodes[i].srv.URL}
+	}
+	resolve := netfault.HostResolver(hosts)
+	for _, nd := range nodes {
+		id := nd.id
+		bootGossipNode(t, nd, seeds, jobs.Options{}, func(o *cluster.Options) {
+			o.WrapTransport = func(rt http.RoundTripper) http.RoundTripper {
+				return inj.Transport(id, resolve, rt)
+			}
+		})
+	}
+	waitAlive(t, nodes, ids...)
+
+	left, right := nodes[:2], nodes[2:]
+	for _, x := range left {
+		for _, y := range right {
+			inj.PartitionBoth(x.id, y.id)
+		}
+	}
+	for _, x := range left {
+		for _, y := range right {
+			waitMemberState(t, x, y.id, gossip.StateDead)
+			waitMemberState(t, y, x.id, gossip.StateDead)
+		}
+	}
+
+	inj.HealAll()
+	waitAlive(t, nodes, ids...)
 }

@@ -80,9 +80,10 @@ type View struct {
 }
 
 // NewView builds a view containing only the self record (alive,
-// incarnation 0). Seed members are learned by merging the first gossip
-// exchange, not at construction — a boot list is just a list of
-// addresses to talk to, not a claim those nodes are alive.
+// incarnation 0). Everything else enters through Merge — including a
+// boot list the caller chooses to start from (internal/cluster merges
+// its seed peers as alive incarnation-0 records, which any fresher
+// record about them then overrides).
 func NewView(cfg Config) (*View, error) {
 	if cfg.SelfID == "" {
 		return nil, fmt.Errorf("gossip: config requires SelfID")

@@ -42,11 +42,9 @@ type TargetInfo struct {
 	URL           string         `json:"url"`
 	Build         map[string]any `json:"build_info,omitempty"`
 	UptimeSeconds float64        `json:"uptime_seconds,omitempty"`
-	Nodes         int            `json:"nodes,omitempty"`
-	// Membership records how the measured cluster tracked its members
-	// ("static" or "gossip"); Nodes under gossip counts the routable
-	// members of the live view at measurement time.
-	Membership string `json:"membership,omitempty"`
+	// Nodes counts the routable members of the target's gossip view at
+	// measurement time (1 for a single node).
+	Nodes int `json:"nodes,omitempty"`
 	// StoreMode records the target's result-store tier: "disk" when a
 	// content-addressed store backs the RAM cache, "ram" otherwise. A
 	// throughput number against a disk-tier server is a different

@@ -8,14 +8,12 @@ import (
 )
 
 // FetchTargetInfo stamps a report with the identity of the server under
-// test: build_info and uptime_seconds from GET /metrics, and the
-// membership mode and node count from GET /v1/cluster when clustering
-// is on. Static clusters report their full peer list; gossip clusters
-// report the live view, of which only the routable members (alive,
-// suspect, draining) count toward the measured cluster size — a dead
-// or departed record is provenance of the past, not capacity. Errors
-// on the cluster probe are not fatal (a single node 404s there by
-// design).
+// test: build_info and uptime_seconds from GET /metrics, and the node
+// count from GET /v1/cluster when clustering is on. Only the routable
+// members of the gossip view (alive, suspect, draining) count toward the
+// measured cluster size — a dead or departed record is provenance of the
+// past, not capacity. Errors on the cluster probe are not fatal (a single
+// node 404s there by design).
 func FetchTargetInfo(ctx context.Context, client *http.Client, base string) (TargetInfo, error) {
 	if client == nil {
 		client = http.DefaultClient
@@ -45,28 +43,20 @@ func FetchTargetInfo(ctx context.Context, client *http.Client, base string) (Tar
 		info.StoreMaxBytes = metrics.CAS.MaxBytes
 	}
 	var cluster struct {
-		Mode    string            `json:"mode"`
-		Peers   []json.RawMessage `json:"peers"`
 		Members []struct {
 			State string `json:"state"`
 		} `json:"members"`
 	}
 	if err := getInto(ctx, client, base+"/v1/cluster", &cluster); err == nil {
-		info.Membership = cluster.Mode
-		switch {
-		case len(cluster.Members) > 0:
-			n := 0
-			for _, m := range cluster.Members {
-				switch m.State {
-				case "alive", "suspect", "draining":
-					n++
-				}
+		n := 0
+		for _, m := range cluster.Members {
+			switch m.State {
+			case "alive", "suspect", "draining":
+				n++
 			}
-			if n > 0 {
-				info.Nodes = n
-			}
-		case len(cluster.Peers) > 0:
-			info.Nodes = len(cluster.Peers)
+		}
+		if n > 0 {
+			info.Nodes = n
 		}
 	}
 	return info, nil

@@ -119,13 +119,13 @@ func (hd *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // StartDrain puts the node into drain mode: /healthz degrades to 503,
 // fresh submissions are forwarded to the next rendezvous rank (refused
 // with 503 when no peer can take them), in-flight jobs keep running,
-// and — under gossip membership — the drain is announced to the cluster
+// and — on a clustered node — the drain is announced to the cluster
 // and every held result is migrated to its new home. Returns the number
 // of results newly placed elsewhere. Idempotent.
 func (hd *Handler) StartDrain(ctx context.Context) (int, error) {
 	hd.inner.draining.Store(true)
 	cl := hd.inner.cluster
-	if cl == nil || !cl.GossipEnabled() {
+	if cl == nil {
 		return 0, nil
 	}
 	return cl.Drain(ctx)
@@ -148,7 +148,7 @@ func (hd *Handler) Quiesce() { hd.inner.bg.Wait() }
 //	GET  /v1/jobs/{id} job status by canonical spec hash
 //	GET  /v1/results/{id} stored result by content address (replica reads)
 //	PUT  /v1/results/{id} store a replica pushed by a peer (digest-checked)
-//	POST /v1/gossip    membership exchange (gossip mode; see cluster.GossipMsg)
+//	POST /v1/gossip    membership exchange (see cluster.GossipMsg)
 //	POST /v1/drain     announce drain + migrate held results (?wait=1 blocks)
 //	GET  /v1/cluster   cluster membership, health, and ownership stats
 //	GET  /v1/version   build info (module, version, Go toolchain, VCS)
@@ -264,8 +264,8 @@ func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 		// Forward-or-serve: with clustering on, a spec owned by a peer
 		// is proxied to it (hedged); the loop guard serves already-
 		// forwarded requests locally no matter who owns them. While
-		// draining, the gossip ring already excludes this node, so the
-		// same path sheds fresh work to the next rendezvous rank.
+		// draining, the ring already excludes this node, so the same
+		// path sheds fresh work to the next rendezvous rank.
 		if h.cluster != nil && r.Header.Get(cluster.ForwardedHeader) == "" {
 			if done := h.tryForward(ctx, w, spec, r.URL.Path, start); done {
 				return
@@ -285,15 +285,13 @@ func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 		}
 		if h.cluster != nil {
 			h.cluster.Metrics().Local.Add(1)
-			// Before computing under gossip membership, ask the result's
-			// replica set for an already-finished copy: a node that just
-			// joined (or rejoined after a restart) owns addresses whose
-			// results live on the previous owners until handoff converges,
-			// and fetching one replica read beats recomputing the job.
-			if h.cluster.GossipEnabled() {
-				if h.serveReplica(ctx, w, spec.Hash(), start) {
-					return
-				}
+			// Before computing, ask the result's replica set for an
+			// already-finished copy: a node that just joined (or rejoined
+			// after a restart) owns addresses whose results live on the
+			// previous owners until handoff converges, and fetching one
+			// replica read beats recomputing the job.
+			if h.serveReplica(ctx, w, spec.Hash(), start) {
+				return
 			}
 		}
 		ans, err := h.pool.Serve(ctx, spec)
@@ -388,14 +386,17 @@ func (h *handler) tryForward(ctx context.Context, w http.ResponseWriter, spec jo
 	}
 }
 
-// serveReplica answers a fallback request from a peer-held replica of
-// an already-computed result, when one exists. Local tiers are checked
-// first — RAM cache and CAS store (pool.Do would hit either anyway —
-// skip the network); a fetched replica is stored locally so repeated
-// requests during the same partition are served without re-fetching.
+// serveReplica answers a request this node would otherwise compute
+// from a peer-held replica of an already-computed result, when one
+// exists. Local tiers are checked first — RAM cache and CAS store
+// (pool.Do would hit either anyway — skip the network), and a record
+// the store has quarantined is left to the pool's read-repair, which
+// fetches the same replica and heals the store; a fetched replica is
+// stored locally so repeated requests during the same partition are
+// served without re-fetching.
 func (h *handler) serveReplica(ctx context.Context, w http.ResponseWriter, hash string, start time.Time) bool {
-	if h.pool.HasStored(hash) {
-		return false // pool.Serve will serve the local copy
+	if h.pool.HasStored(hash) || h.pool.Store().Quarantined(hash) {
+		return false // pool.Serve serves the local copy or read-repairs it
 	}
 	st, ok := h.cluster.FetchResult(ctx, hash)
 	if !ok {
@@ -418,8 +419,8 @@ func (h *handler) serveReplica(ctx context.Context, w http.ResponseWriter, hash 
 // sender's records are merged into this node's view and the full view
 // is returned, so a single round-trip converges both sides.
 func (h *handler) gossip(w http.ResponseWriter, r *http.Request) {
-	if h.cluster == nil || !h.cluster.GossipEnabled() {
-		writeError(w, http.StatusNotFound, errors.New("gossip membership disabled (static -peers)"))
+	if h.cluster == nil {
+		writeError(w, http.StatusNotFound, errors.New("clustering disabled (no -peers)"))
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -432,12 +433,7 @@ func (h *handler) gossip(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid gossip body: %w", err))
 		return
 	}
-	ack, err := h.cluster.HandleGossip(r.Context(), msg)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ack)
+	writeJSON(w, http.StatusOK, h.cluster.HandleGossip(r.Context(), msg))
 }
 
 // drain serves POST /v1/drain: flip the node into drain mode, announce
@@ -447,8 +443,8 @@ func (h *handler) gossip(w http.ResponseWriter, r *http.Request) {
 // results migrated — what a rolling-restart orchestrator polls before
 // killing the process.
 func (h *handler) drain(w http.ResponseWriter, r *http.Request) {
-	if h.cluster == nil || !h.cluster.GossipEnabled() {
-		writeError(w, http.StatusNotFound, errors.New("drain requires gossip membership"))
+	if h.cluster == nil {
+		writeError(w, http.StatusNotFound, errors.New("clustering disabled (no -peers)"))
 		return
 	}
 	h.draining.Store(true)

@@ -393,7 +393,7 @@ func BenchmarkRequestPath(b *testing.B) {
 		peers := []cluster.Peer{{ID: "entry", URL: "http://entry.invalid"}, {ID: "owner", URL: owner.URL}}
 		cl, err := cluster.New(cluster.Options{
 			SelfID: "entry", Peers: peers, HedgeAfter: -1,
-			RequestTimeout: 30 * time.Second, ProbeInterval: time.Hour,
+			RequestTimeout: 30 * time.Second,
 		})
 		if err != nil {
 			b.Fatal(err)
