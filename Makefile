@@ -64,11 +64,13 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The engine benchmarks behind BENCH_engine.json: the 28 cold-stream
-# templates evaluated in process on fresh seeds (BenchmarkEvaluateCold),
-# and one cold evaluate through the HTTP handler with its CAS put
-# (BenchmarkRequestPath/cold-evaluate). Not a gate.
+# templates evaluated in process on fresh seeds (BenchmarkEvaluateCold,
+# with per-stage ms/eval), the rate stage's 4,000-die Monte Carlo
+# (BenchmarkSample), and one cold evaluate through the HTTP handler with
+# its CAS put (BenchmarkRequestPath/cold-evaluate). Not a gate.
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateCold' -benchmem -count=5 ./internal/jobs/
+	$(GO) test -run '^$$' -bench 'BenchmarkSample' -benchmem -count=5 ./internal/procvar/
 	$(GO) test -run '^$$' -bench 'BenchmarkRequestPath/cold-evaluate' -benchmem -count=5 ./internal/serve/
 
 # The chaos suite under the race detector: every fault schedule is a

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/jobs"
@@ -23,10 +24,25 @@ import (
 )
 
 func main() {
-	dies := flag.Int("dies", 20000, "dies per line to sample")
-	seed := flag.Int64("seed", 42, "Monte Carlo seed")
-	asJSON := flag.Bool("json", false, "emit the statistics as a gapd job result")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is procmc on the given arguments; it returns the exit status: 0,
+// 1 on an output error, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("procmc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dies := fs.Int("dies", 20000, "dies per line to sample (at least 1)")
+	seed := fs.Int64("seed", 42, "Monte Carlo seed")
+	asJSON := fs.Bool("json", false, "emit the statistics as a gapd job result")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *dies < 1 {
+		fmt.Fprintf(stderr, "procmc: -dies must be at least 1, got %d\n", *dies)
+		fs.Usage()
+		return 2
+	}
 
 	lines := []struct {
 		name string
@@ -43,19 +59,22 @@ func main() {
 	}
 
 	if *asJSON {
-		emitJSON(lines, samples, *dies, *seed)
-		return
+		if err := emitJSON(stdout, lines, samples, *dies, *seed); err != nil {
+			fmt.Fprintln(stderr, "procmc:", err)
+			return 1
+		}
+		return 0
 	}
 
-	fmt.Printf("%-20s %7s %8s %8s %8s %8s %8s\n",
+	fmt.Fprintf(stdout, "%-20s %7s %8s %8s %8s %8s %8s\n",
 		"line", "rated", "median", "fast", "typ+%", "fast+%", "spread%")
 	for _, l := range lines {
 		r := procvar.Analyze(samples[l.name])
-		fmt.Printf("%-20s %7.2f %8.2f %8.2f %7.0f%% %7.0f%% %7.0f%%\n",
+		fmt.Fprintf(stdout, "%-20s %7.2f %8.2f %8.2f %7.0f%% %7.0f%% %7.0f%%\n",
 			l.name, r.Rated, r.Median, r.Fast, 100*r.TypGain, 100*r.FastGain, 100*r.Spread)
 	}
 
-	fmt.Println("\nspeed-bin table, new process (custom vendor practice):")
+	fmt.Fprintln(stdout, "\nspeed-bin table, new process (custom vendor practice):")
 	floors := []float64{0.80, 0.90, 1.00, 1.10}
 	bins := procvar.SpeedBin(samples["new process (ramp)"], floors)
 	for i, b := range bins {
@@ -63,34 +82,35 @@ func main() {
 		if i > 0 {
 			label = fmt.Sprintf(">= %.2f", b.MinSpeed)
 		}
-		fmt.Printf("  bin %-8s %6d dies (%5.1f%%)\n", label, b.Count, 100*b.Frac)
+		fmt.Fprintf(stdout, "  bin %-8s %6d dies (%5.1f%%)\n", label, b.Count, 100*b.Frac)
 	}
 
 	newLine := samples["new process (ramp)"]
 	mature := samples["mature process"]
 	second := samples["second-tier fab"]
-	fmt.Println("\npaper claims vs measured:")
-	fmt.Printf("  typical over worst-case quote: measured +%.0f%% (paper: 60-70%%)\n",
+	fmt.Fprintln(stdout, "\npaper claims vs measured:")
+	fmt.Fprintf(stdout, "  typical over worst-case quote: measured +%.0f%% (paper: 60-70%%)\n",
 		100*procvar.Analyze(newLine).TypGain)
-	fmt.Printf("  fastest over typical (young):  measured +%.0f%% (paper: 20-40%%)\n",
+	fmt.Fprintf(stdout, "  fastest over typical (young):  measured +%.0f%% (paper: 20-40%%)\n",
 		100*procvar.Analyze(newLine).FastGain)
-	fmt.Printf("  new-process bin spread:        measured %.0f%% (paper: 30-40%%)\n",
+	fmt.Fprintf(stdout, "  new-process bin spread:        measured %.0f%% (paper: 30-40%%)\n",
 		100*procvar.Analyze(newLine).Spread)
-	fmt.Printf("  fab-to-fab median gap:         measured +%.0f%% (paper: 20-25%%)\n",
+	fmt.Fprintf(stdout, "  fab-to-fab median gap:         measured +%.0f%% (paper: 20-25%%)\n",
 		100*procvar.FabToFabGap(mature, second))
-	fmt.Printf("  tested-speed shipping gain:    measured +%.0f%% (paper: 30-40%%+)\n",
+	fmt.Fprintf(stdout, "  tested-speed shipping gain:    measured +%.0f%% (paper: 30-40%%+)\n",
 		100*procvar.TestedSpeedGain(second))
-	fmt.Printf("  custom best vs ASIC rating:    measured +%.0f%% (paper: ~90%%)\n",
+	fmt.Fprintf(stdout, "  custom best vs ASIC rating:    measured +%.0f%% (paper: ~90%%)\n",
 		100*procvar.CustomAdvantage(mature, second))
+	return 0
 }
 
 // emitJSON flattens the Monte Carlo statistics into the gapd job-result
 // envelope under the CLI-only "procvar" kind.
-func emitJSON(lines []struct {
+func emitJSON(w io.Writer, lines []struct {
 	name string
 	slug string
 	c    procvar.Components
-}, samples map[string][]float64, dies int, seed int64) {
+}, samples map[string][]float64, dies int, seed int64) error {
 	tables := map[string]float64{
 		"dies_per_line": float64(dies),
 	}
@@ -126,10 +146,7 @@ func emitJSON(lines []struct {
 		Tables: tables,
 	})
 	if err == nil {
-		_, err = os.Stdout.Write(append(st.Body, '\n'))
+		_, err = w.Write(append(st.Body, '\n'))
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "procmc:", err)
-		os.Exit(1)
-	}
+	return err
 }

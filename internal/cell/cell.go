@@ -197,10 +197,15 @@ var transistors = map[Func]int{
 const dominoSpeedup = 1.6
 
 // Cell is one library cell: a function at a particular drive strength.
+// Its name is a pure function of the cell (see Name), spelled only when
+// something shows it.
 type Cell struct {
-	Name   string
 	Func   Func
 	Family Family
+
+	// prefix is the family's name prefix: "" static, "DOM_" domino,
+	// "DOM2_" dual-rail domino.
+	prefix string
 
 	// Drive is the size multiple s relative to a minimum template.
 	Drive float64
@@ -233,11 +238,14 @@ func (c *Cell) Delay(load units.Cap) units.Tau {
 // Inputs returns the number of data inputs of the cell.
 func (c *Cell) Inputs() int { return c.Func.Inputs() }
 
-func (c *Cell) String() string { return c.Name }
+// Name spells the cell's library name, such as NAND2_X4, DOM_AND2_X2 or
+// NAND2_X3.7142857142857144 for a drive fabricated by continuous sizing.
+func (c *Cell) Name() string { return cellName(c.prefix, c.Func, c.Drive) }
+
+func (c *Cell) String() string { return c.Name() }
 
 // cellName spells prefix + f + "_X" + drive exactly as
-// fmt.Sprintf("%s%v_X%g", prefix, f, drive) does, without fmt: every
-// continuous sizing step names the cell it fabricates.
+// fmt.Sprintf("%s%v_X%g", prefix, f, drive) does, without fmt.
 func cellName(prefix string, f Func, drive float64) string {
 	b := make([]byte, 0, 32)
 	b = append(b, prefix...)
@@ -260,7 +268,6 @@ func NewStatic(f Func, drive float64) *Cell {
 	}
 	t := float64(transistors[f])
 	return &Cell{
-		Name:   cellName("", f, drive),
 		Func:   f,
 		Family: Static,
 		Drive:  drive,
@@ -285,7 +292,7 @@ func NewDomino(f Func, drive float64) (*Cell, error) {
 	}
 	t := float64(transistors[f]) * 0.75 // dynamic gates need no PMOS pull-up network
 	return &Cell{
-		Name:   cellName("DOM_", f, drive),
+		prefix: "DOM_",
 		Func:   f,
 		Family: Domino,
 		Drive:  drive,
@@ -316,7 +323,7 @@ func NewDominoDualRail(f Func, drive float64) (*Cell, error) {
 	}
 	t := float64(transistors[f]) * 1.5 // two dynamic networks, no PMOS trees
 	return &Cell{
-		Name:   cellName("DOM2_", f, drive),
+		prefix: "DOM2_",
 		Func:   f,
 		Family: Domino,
 		Drive:  drive,

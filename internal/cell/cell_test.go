@@ -187,30 +187,32 @@ func TestFamilyAndKindStrings(t *testing.T) {
 	}
 }
 
-// TestCellNamesMatchFmt: the names built without fmt are the strings
-// fmt.Sprintf("%v_X%g") and its domino forms give, over drives that
-// exercise every %g branch (integers, fractions, shortest round-trip
-// digits, and both exponent forms).
+// TestCellNamesMatchFmt: Name spells the strings fmt.Sprintf("%v_X%g")
+// and its domino forms give, over the library drive table plus drives
+// that exercise every %g branch (fractions, shortest round-trip digits,
+// and both exponent forms), and String is Name.
 func TestCellNamesMatchFmt(t *testing.T) {
-	drives := []float64{1, 2, 2.5, 3, 0.1, 1.0 / 3, 1.15, 1.15 * 1.15 * 1.15, 12.345678901234567,
-		1e-4, 1e-5, 1e-7, 123456, 1e20, 1e21, 1.5e300, math.SmallestNonzeroFloat64, math.MaxFloat64}
+	drives := append([]float64{2.5, 0.1, 1.0 / 3, 1.15, 1.15 * 1.15 * 1.15, 12.345678901234567,
+		1e-4, 1e-5, 1e-7, 123456, 1e20, 1e21, 1.5e300, math.SmallestNonzeroFloat64, math.MaxFloat64},
+		richDrives...)
 	for f := FuncInv; f < numFuncs; f++ {
 		for _, d := range drives {
-			if got, want := NewStatic(f, d).Name, fmt.Sprintf("%v_X%g", f, d); got != want {
-				t.Errorf("NewStatic(%v, %v).Name = %q, want %q", f, d, got, want)
+			c := NewStatic(f, d)
+			if got, want := c.Name(), fmt.Sprintf("%v_X%g", f, d); got != want || c.String() != want {
+				t.Errorf("NewStatic(%v, %v).Name = %q, String = %q, want %q", f, d, got, c.String(), want)
 			}
 			if dr, err := NewDominoDualRail(f, d); err != nil {
 				t.Fatal(err)
-			} else if want := fmt.Sprintf("DOM2_%v_X%g", f, d); dr.Name != want {
-				t.Errorf("NewDominoDualRail(%v, %v).Name = %q, want %q", f, d, dr.Name, want)
+			} else if want := fmt.Sprintf("DOM2_%v_X%g", f, d); dr.Name() != want {
+				t.Errorf("NewDominoDualRail(%v, %v).Name = %q, want %q", f, d, dr.Name(), want)
 			}
 			if f.Inverting() {
 				continue
 			}
 			if dc, err := NewDomino(f, d); err != nil {
 				t.Fatal(err)
-			} else if want := fmt.Sprintf("DOM_%v_X%g", f, d); dc.Name != want {
-				t.Errorf("NewDomino(%v, %v).Name = %q, want %q", f, d, dc.Name, want)
+			} else if want := fmt.Sprintf("DOM_%v_X%g", f, d); dc.Name() != want {
+				t.Errorf("NewDomino(%v, %v).Name = %q, want %q", f, d, dc.Name(), want)
 			}
 		}
 	}

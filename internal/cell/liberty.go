@@ -27,7 +27,7 @@ func WriteLiberty(w io.Writer, l *Library, p units.Process) error {
 	loads := []float64{1, 2, 4, 8, 16, 32}
 
 	emitCell := func(c *Cell) {
-		fmt.Fprintf(bw, "  cell (%s) {\n", c.Name)
+		fmt.Fprintf(bw, "  cell (%s) {\n", c.Name())
 		fmt.Fprintf(bw, "    area : %.2f;\n", c.Area)
 		if c.Family == Domino {
 			fmt.Fprintf(bw, "    /* domino: precharged dynamic gate */\n")

@@ -3,7 +3,9 @@ package jobs_test
 import (
 	"context"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/loadgen"
 )
@@ -29,10 +31,15 @@ func coldTemplates(b *testing.B) []jobs.Spec {
 // evaluates all 28 cold templates with jobs.Run, every op on a fresh
 // evaluation seed, so nothing is cached and every stage of the flow
 // runs. It is the in-process counterpart of gapbench's cold-durable
-// workload.
+// workload. Besides ns/op it reports each flow stage's wall time per
+// evaluation (<stage>-ms/eval, from a core stage observer) and their
+// sum (stages-ms/eval).
 func BenchmarkEvaluateCold(b *testing.B) {
 	templates := coldTemplates(b)
-	ctx := context.Background()
+	spent := map[string]time.Duration{}
+	ctx := core.WithStageObserver(context.Background(), func(stage string, d time.Duration) {
+		spent[stage] += d
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,4 +50,14 @@ func BenchmarkEvaluateCold(b *testing.B) {
 			}
 		}
 	}
+	b.StopTimer()
+	evals := float64(b.N * len(templates))
+	var sum time.Duration
+	for _, stage := range []string{"synthesize", "presize", "floorplan", "pipeline", "postsize", "domino", "timing", "rate"} {
+		sum += spent[stage]
+		b.ReportMetric(msPer(spent[stage], evals), stage+"-ms/eval")
+	}
+	b.ReportMetric(msPer(sum, evals), "stages-ms/eval")
 }
+
+func msPer(d time.Duration, n float64) float64 { return float64(d) / float64(time.Millisecond) / n }

@@ -225,7 +225,7 @@ func (n *Netlist) MarkOutput(id NetID) {
 // the output net. The number of inputs must match the cell function.
 func (n *Netlist) AddGate(c *cell.Cell, in ...NetID) (NetID, error) {
 	if len(in) != c.Inputs() {
-		return None, fmt.Errorf("netlist: %s wants %d inputs, got %d", c.Name, c.Inputs(), len(in))
+		return None, fmt.Errorf("netlist: %s wants %d inputs, got %d", c.Name(), c.Inputs(), len(in))
 	}
 	g := n.newGate(c, in)
 	out := n.newNet(numbered('g', int(g.ID)))
@@ -306,7 +306,7 @@ func (n *Netlist) ReplaceCell(id GateID, c *cell.Cell) error {
 	g := n.gates[id]
 	if c.Inputs() != g.Cell.Inputs() {
 		return fmt.Errorf("netlist: cannot replace %s with %s: pin count %d != %d",
-			g.Cell.Name, c.Name, g.Cell.Inputs(), c.Inputs())
+			g.Cell.Name(), c.Name(), g.Cell.Inputs(), c.Inputs())
 	}
 	g.Cell = c
 	return nil
@@ -370,7 +370,7 @@ func (n *Netlist) Check() error {
 	for _, g := range n.gates {
 		if len(g.In) != g.Cell.Inputs() {
 			return fmt.Errorf("netlist %s: gate %d (%s) has %d pins, cell wants %d",
-				n.Name, g.ID, g.Cell.Name, len(g.In), g.Cell.Inputs())
+				n.Name, g.ID, g.Cell.Name(), len(g.In), g.Cell.Inputs())
 		}
 		if n.nets[g.Out].Driver != g.ID {
 			return fmt.Errorf("netlist %s: gate %d output net back-reference broken", n.Name, g.ID)

@@ -21,22 +21,20 @@ func (n *Netlist) Levelize() ([]GateID, error) {
 			}
 		}
 	}
-	queue := make([]GateID, 0, len(n.gates))
+	// order doubles as the FIFO work queue: a gate is appended once
+	// its last fanin has been, and order[i] is processed i-th.
+	order := make([]GateID, 0, len(n.gates))
 	for _, g := range n.gates {
 		if indeg[g.ID] == 0 {
-			queue = append(queue, g.ID)
+			order = append(order, g.ID)
 		}
 	}
-	order := make([]GateID, 0, len(n.gates))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		out := n.nets[n.gates[id].Out]
+	for i := 0; i < len(order); i++ {
+		out := n.nets[n.gates[order[i]].Out]
 		for _, p := range out.Sinks {
 			indeg[p.Gate]--
 			if indeg[p.Gate] == 0 {
-				queue = append(queue, p.Gate)
+				order = append(order, p.Gate)
 			}
 		}
 	}
@@ -45,29 +43,6 @@ func (n *Netlist) Levelize() ([]GateID, error) {
 			ErrCombinationalCycle, n.Name, len(n.gates)-len(order), len(n.gates))
 	}
 	return order, nil
-}
-
-// FanoutGates returns the ids of gates fed by the given gate's output.
-func (n *Netlist) FanoutGates(id GateID) []GateID {
-	out := n.nets[n.gates[id].Out]
-	ids := make([]GateID, 0, len(out.Sinks))
-	for _, p := range out.Sinks {
-		ids = append(ids, p.Gate)
-	}
-	return ids
-}
-
-// FaninGates returns the ids of gates driving the given gate's inputs
-// (registers and primary inputs are omitted).
-func (n *Netlist) FaninGates(id GateID) []GateID {
-	g := n.gates[id]
-	ids := make([]GateID, 0, len(g.In))
-	for _, in := range g.In {
-		if drv := n.nets[in].Driver; drv != None {
-			ids = append(ids, drv)
-		}
-	}
-	return ids
 }
 
 // Clone deep-copies the netlist structure. Cells are shared (they are

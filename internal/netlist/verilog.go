@@ -50,7 +50,7 @@ func (n *Netlist) WriteVerilog(w io.Writer) error {
 			pins = append(pins, fmt.Sprintf(".%s(%s)", pinName(i), netName(n, in)))
 		}
 		pins = append(pins, fmt.Sprintf(".Y(%s)", netName(n, g.Out)))
-		fmt.Fprintf(bw, "  %s g%d (%s);\n", sanitize(g.Cell.Name), g.ID, strings.Join(pins, ", "))
+		fmt.Fprintf(bw, "  %s g%d (%s);\n", sanitize(g.Cell.Name()), g.ID, strings.Join(pins, ", "))
 	}
 	for _, r := range n.regs {
 		fmt.Fprintf(bw, "  %s r%d (.D(%s), .CK(clk), .Q(%s));\n",
@@ -98,7 +98,7 @@ func ReadVerilog(r io.Reader, lib *cell.Library) (*Netlist, error) {
 	combByName := map[string]*cell.Cell{}
 	for _, f := range lib.Functions() {
 		for _, c := range lib.Cells(f) {
-			combByName[sanitize(c.Name)] = c
+			combByName[sanitize(c.Name())] = c
 		}
 	}
 	seqByName := map[string]*cell.SeqCell{}

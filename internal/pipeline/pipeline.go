@@ -10,6 +10,7 @@ package pipeline
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cell"
 	"repro/internal/netlist"
@@ -68,30 +69,30 @@ func Pipeline(n *netlist.Netlist, opt Options) (*netlist.Netlist, error) {
 	if opt.Seq == nil {
 		return nil, fmt.Errorf("pipeline: no sequential cell given")
 	}
-	stageOf, err := assignStages(n, opt)
+	order, err := n.Levelize()
+	if err != nil {
+		return nil, err
+	}
+	stageOf, err := assignStages(n, opt, order)
 	if err != nil {
 		return nil, err
 	}
 	if opt.Refine {
-		order, err := n.Levelize()
-		if err != nil {
-			return nil, err
-		}
 		refineStages(n, stageOf, opt.Stages, order)
 	}
 
-	out := netlist.New(fmt.Sprintf("%s_p%d", n.Name, opt.Stages))
+	out := netlist.New(n.Name + "_p" + strconv.Itoa(opt.Stages))
 
-	// Map from (original net, stage) to the new net carrying that value
-	// at that stage. Stage s means "as seen by logic in stage s".
-	type key struct {
-		net   netlist.NetID
-		stage int
+	// have[int(net)*opt.Stages+s] is the new net carrying original net
+	// `net` at stage s ("as seen by logic in stage s"), or None.
+	have := make([]netlist.NetID, n.NumNets()*opt.Stages)
+	for i := range have {
+		have[i] = netlist.None
 	}
-	have := map[key]netlist.NetID{}
+	slot := func(id netlist.NetID, s int) *netlist.NetID { return &have[int(id)*opt.Stages+s] }
 
 	for _, id := range n.Inputs() {
-		have[key{id, 0}] = out.AddInput(n.Net(id).Name)
+		*slot(id, 0) = out.AddInput(n.Net(id).Name)
 	}
 
 	// atStage returns the new net carrying original net `id` for use in
@@ -99,7 +100,7 @@ func Pipeline(n *netlist.Netlist, opt Options) (*netlist.Netlist, error) {
 	// of a net is its driver's stage (0 for PIs).
 	var atStage func(id netlist.NetID, s int) (netlist.NetID, error)
 	atStage = func(id netlist.NetID, s int) (netlist.NetID, error) {
-		if net, ok := have[key{id, s}]; ok {
+		if net := *slot(id, s); net != netlist.None {
 			return net, nil
 		}
 		if s <= 0 {
@@ -116,25 +117,22 @@ func Pipeline(n *netlist.Netlist, opt Options) (*netlist.Netlist, error) {
 		// Alignment registers sit with the logic producing the value,
 		// so they do not add floorplan hops of their own.
 		r.Block = blockOf(out, prev)
-		out.Net(q).Name = fmt.Sprintf("%s_s%d", n.Net(id).Name, s)
-		have[key{id, s}] = q
+		out.Net(q).Name = n.Net(id).Name + "_s" + strconv.Itoa(s)
+		*slot(id, s) = q
 		return q, nil
 	}
 
-	order, err := n.Levelize()
-	if err != nil {
-		return nil, err
-	}
+	var ins []netlist.NetID // AddGate copies the pins, so one buffer serves every gate
 	for _, gid := range order {
 		g := n.Gate(gid)
 		s := stageOf[gid]
-		ins := make([]netlist.NetID, len(g.In))
-		for i, in := range g.In {
+		ins = ins[:0]
+		for _, in := range g.In {
 			net, err := atStage(in, s)
 			if err != nil {
 				return nil, err
 			}
-			ins[i] = net
+			ins = append(ins, net)
 		}
 		newOut, err := out.AddGate(g.Cell, ins...)
 		if err != nil {
@@ -143,7 +141,7 @@ func Pipeline(n *netlist.Netlist, opt Options) (*netlist.Netlist, error) {
 		ng := out.Gate(out.Net(newOut).Driver)
 		ng.Block = g.Block
 		ng.Stage = s
-		have[key{g.Out, s}] = newOut
+		*slot(g.Out, s) = newOut
 	}
 
 	// Outputs: align everything to the final stage and capture it.
@@ -179,21 +177,18 @@ func blockOf(n *netlist.Netlist, id netlist.NetID) string {
 	return ""
 }
 
-// assignStages maps every gate to a stage, monotone along edges.
-func assignStages(n *netlist.Netlist, opt Options) (map[netlist.GateID]int, error) {
-	stageOf := make(map[netlist.GateID]int, n.NumGates())
-	order, err := n.Levelize()
-	if err != nil {
-		return nil, err
-	}
+// assignStages maps every gate to a stage, monotone along edges: the
+// result is indexed by GateID. order is n's topological gate order.
+func assignStages(n *netlist.Netlist, opt Options, order []netlist.GateID) ([]int, error) {
+	stageOf := make([]int, n.NumGates())
 	switch opt.Method {
 	case NaiveLevels:
-		level := make(map[netlist.GateID]int)
+		level := make([]int, n.NumGates())
 		maxLevel := 0
 		for _, gid := range order {
 			l := 0
-			for _, fi := range n.FaninGates(gid) {
-				if level[fi]+1 > l {
+			for _, in := range n.Gate(gid).In {
+				if fi := n.Net(in).Driver; fi != netlist.None && level[fi]+1 > l {
 					l = level[fi] + 1
 				}
 			}
@@ -227,8 +222,8 @@ func assignStages(n *netlist.Netlist, opt Options) (map[netlist.GateID]int, erro
 				s = opt.Stages - 1
 			}
 			// Monotonicity along edges.
-			for _, fi := range n.FaninGates(gid) {
-				if stageOf[fi] > s {
+			for _, in := range g.In {
+				if fi := n.Net(in).Driver; fi != netlist.None && stageOf[fi] > s {
 					s = stageOf[fi]
 				}
 			}

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -48,8 +50,8 @@ func TestPipelineStructure(t *testing.T) {
 	}
 	// Gate stages must be monotone along edges.
 	for _, g := range p.Gates() {
-		for _, fi := range p.FaninGates(g.ID) {
-			if p.Gate(fi).Stage > g.Stage {
+		for _, in := range g.In {
+			if fi := p.Net(in).Driver; fi != netlist.None && p.Gate(fi).Stage > g.Stage {
 				t.Fatalf("stage decreases along edge %d->%d", fi, g.ID)
 			}
 		}
@@ -302,5 +304,40 @@ func TestAlignmentChains(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPipelineNames: the pipelined netlist is named "<name>_p<stages>"
+// and every alignment register's output net "<original net>_s<stage>",
+// the spellings fmt.Sprintf("%s_p%d") and fmt.Sprintf("%s_s%d") give.
+func TestPipelineNames(t *testing.T) {
+	n := deepComb(t, 30)
+	const stages = 5
+	p, err := Pipeline(n, Options{Stages: stages, Seq: ff()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%s_p%d", n.Name, stages); p.Name != want {
+		t.Fatalf("pipelined netlist named %q, want %q", p.Name, want)
+	}
+	want := map[string]bool{}
+	for id := 0; id < n.NumNets(); id++ {
+		for s := 1; s < stages; s++ {
+			want[fmt.Sprintf("%s_s%d", n.Net(netlist.NetID(id)).Name, s)] = true
+		}
+	}
+	aligned := 0
+	for _, r := range p.Regs() {
+		if r.Stage == stages {
+			continue // capture register
+		}
+		aligned++
+		name := p.Net(r.Q).Name
+		if !want[name] || !strings.HasSuffix(name, fmt.Sprintf("_s%d", r.Stage)) {
+			t.Errorf("alignment register at stage %d drives %q", r.Stage, name)
+		}
+	}
+	if aligned == 0 {
+		t.Fatal("no alignment registers to check")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // custom capability of "balancing the logic in pipeline stages after
 // placement" (section 4.1) — it runs on wire-annotated timing, unlike the
 // initial cut which only quantizes arrival times.
-func refineStages(n *netlist.Netlist, stageOf map[netlist.GateID]int, stages int, order []netlist.GateID) {
+func refineStages(n *netlist.Netlist, stageOf []int, stages int, order []netlist.GateID) {
 	if stages < 2 {
 		return
 	}
@@ -30,8 +30,8 @@ func refineStages(n *netlist.Netlist, stageOf map[netlist.GateID]int, stages int
 			g := n.Gate(gid)
 			s := stageOf[gid]
 			worst := 0.0
-			for _, fi := range n.FaninGates(gid) {
-				if stageOf[fi] == s && arr[fi] > worst {
+			for _, in := range g.In {
+				if fi := n.Net(in).Driver; fi != netlist.None && stageOf[fi] == s && arr[fi] > worst {
 					worst = arr[fi]
 				}
 			}
@@ -72,8 +72,8 @@ func refineStages(n *netlist.Netlist, stageOf map[netlist.GateID]int, stages int
 			}
 			g := n.Gate(gid)
 			headOK := worst > 0
-			for _, fi := range n.FaninGates(gid) {
-				if stageOf[fi] >= worst {
+			for _, in := range g.In {
+				if fi := n.Net(in).Driver; fi != netlist.None && stageOf[fi] >= worst {
 					headOK = false
 					break
 				}
@@ -84,8 +84,8 @@ func refineStages(n *netlist.Netlist, stageOf map[netlist.GateID]int, stages int
 				if out.IsOutput || len(out.RegSinks) > 0 {
 					tailOK = false
 				}
-				for _, fo := range n.FanoutGates(gid) {
-					if stageOf[fo] <= worst {
+				for _, p := range out.Sinks {
+					if stageOf[p.Gate] <= worst {
 						tailOK = false
 						break
 					}

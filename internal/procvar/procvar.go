@@ -55,34 +55,61 @@ func SecondTierFab() Components {
 		IntraDieSigma: 0.05, PathGroups: 12, MeanShift: 0.88}
 }
 
-// Sample draws n per-die speed multipliers. Dies are grouped into lots of
-// 25 wafers of 40 dies, sharing their lot and wafer components, which is
-// what makes the distribution clumpy in practice.
+// Sample draws n per-die speed multipliers (none when n <= 0). Dies are
+// grouped into lots of 25 wafers of 40 dies, sharing their lot and wafer
+// components, which is what makes the distribution clumpy in practice.
 func (c Components) Sample(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	const diesPerWafer = 40
 	const wafersPerLot = 25
-	speeds := make([]float64, 0, n)
+	speeds := make([]float64, 0, max(n, 0))
 	for len(speeds) < n {
 		lot := math.Exp(rng.NormFloat64() * c.LotSigma)
 		for w := 0; w < wafersPerLot && len(speeds) < n; w++ {
 			wafer := math.Exp(rng.NormFloat64() * c.WaferSigma)
 			for d := 0; d < diesPerWafer && len(speeds) < n; d++ {
 				die := math.Exp(rng.NormFloat64() * c.DieSigma)
-				// The die runs at the speed of its slowest
-				// critical-path group.
-				worst := 1.0
-				for g := 0; g < c.PathGroups; g++ {
-					p := math.Exp(rng.NormFloat64() * c.IntraDieSigma)
-					if p < worst {
-						worst = p
-					}
-				}
-				speeds = append(speeds, c.MeanShift*lot*wafer*die*worst)
+				speeds = append(speeds, c.MeanShift*lot*wafer*die*c.slowestGroup(rng))
 			}
 		}
 	}
 	return speeds
+}
+
+// expTie is the argument gap below which slowestGroup treats two
+// intra-die draws as tied. For |x| <= 1 math.Exp is within a few ulps of
+// e^x (TestExpAccuracy), while a gap above expTie separates the exact
+// values by a factor of at least 1+1e-9, over 4e6 ulps: the smaller
+// argument's exp is then certainly the smaller float.
+const expTie = 1e-9
+
+// slowestGroup draws the die's PathGroups intra-die multipliers
+// exp(N(0, IntraDieSigma)) and returns the slowest, capped at 1: the die
+// runs at the speed of its slowest critical-path group. It returns the
+// same float as taking math.Exp of every draw, but exps only the least
+// draw in [-1, 1], the draws within expTie above a least (almost never
+// any) and any draw outside [-1, 1].
+func (c Components) slowestGroup(rng *rand.Rand) float64 {
+	worst := 1.0
+	least := math.Inf(1) // the least draw in [-1, 1] so far, exped last
+	for g := 0; g < c.PathGroups; g++ {
+		x := rng.NormFloat64() * c.IntraDieSigma
+		if x >= -1 && x <= 1 {
+			if x < least {
+				x, least = least, x // x is now the displaced least
+			}
+			if x-least > expTie {
+				continue // its exp is certainly above least's
+			}
+		}
+		if p := math.Exp(x); p < worst {
+			worst = p
+		}
+	}
+	if p := math.Exp(least); p < worst {
+		worst = p
+	}
+	return worst
 }
 
 // Quantile returns the q-quantile (0..1) of the speeds: the linear

@@ -39,7 +39,7 @@ func matchesFresh(t *testing.T, n *netlist.Netlist, r *sta.Result) {
 	}
 	for i, w := range want.Critical {
 		g := r.Critical[i]
-		if g.Gate != w.Gate || g.Net != w.Net || g.What != w.What || !same(g.Arrival, w.Arrival) || !same(g.Delay, w.Delay) {
+		if g.Gate != w.Gate || g.Net != w.Net || g.What() != w.What() || !same(g.Arrival, w.Arrival) || !same(g.Delay, w.Delay) {
 			t.Fatalf("%s: critical step %d %+v, fresh analysis %+v", n.Name, i, g, w)
 		}
 	}

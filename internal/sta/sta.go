@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/cell"
 	"repro/internal/netlist"
 	"repro/internal/units"
 )
@@ -35,7 +36,24 @@ type Step struct {
 	Net     netlist.NetID
 	Arrival units.Tau
 	Delay   units.Tau // delay contributed by this hop
-	What    string    // human-readable: cell name, "PI", "regQ"
+
+	// What the hop is, spelled only by What: the driving gate's cell,
+	// or the start point's register cell or input net.
+	cell  *cell.Cell
+	start string
+	reg   bool
+}
+
+// What names the hop for reports: the driving cell's name, or
+// "regQ:<register cell>" / "PI:<input net>" at the start point.
+func (s Step) What() string {
+	switch {
+	case s.cell != nil:
+		return s.cell.Name()
+	case s.reg:
+		return "regQ:" + s.start
+	}
+	return "PI:" + s.start
 }
 
 // EndKind classifies a path endpoint.
@@ -216,11 +234,11 @@ func (a *analysis) backtrack(dst []Step, end netlist.NetID) []Step {
 		case nt.Driver != netlist.None:
 			g := n.Gate(nt.Driver)
 			st.Gate = g.ID
-			st.What = g.Cell.Name
+			st.cell = g.Cell
 		case nt.DriverReg != netlist.None:
-			st.What = "regQ:" + n.Reg(nt.DriverReg).Cell.Name
+			st.start, st.reg = n.Reg(nt.DriverReg).Cell.Name, true
 		default:
-			st.What = "PI:" + nt.Name
+			st.start = nt.Name
 		}
 		if prev := a.from[id]; prev != netlist.None {
 			st.Delay = a.arrival[id] - a.arrival[prev]
@@ -255,7 +273,7 @@ func (r *Result) PathString() string {
 		if i > 0 {
 			s += " -> "
 		}
-		s += fmt.Sprintf("%s@%.1f", st.What, st.Arrival.FO4())
+		s += fmt.Sprintf("%s@%.1f", st.What(), st.Arrival.FO4())
 	}
 	return s
 }

@@ -122,8 +122,8 @@ func TestCriticalPathBacktrack(t *testing.T) {
 	}
 	// Path must start at a, not b.
 	first := r.Critical[0]
-	if first.What != "PI:a" {
-		t.Fatalf("critical path starts at %q, want PI:a", first.What)
+	if first.What() != "PI:a" {
+		t.Fatalf("critical path starts at %q, want PI:a", first.What())
 	}
 	if len(r.Critical) != 6 { // PI + 4 inv + nand
 		t.Fatalf("path has %d steps, want 6", len(r.Critical))

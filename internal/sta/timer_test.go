@@ -82,7 +82,7 @@ func sameResult(t *testing.T, step int, got, want *Result) {
 	}
 	for i, w := range want.Critical {
 		g := got.Critical[i]
-		if g.Gate != w.Gate || g.Net != w.Net || g.What != w.What ||
+		if g.Gate != w.Gate || g.Net != w.Net || g.What() != w.What() ||
 			bits(g.Arrival) != bits(w.Arrival) || bits(g.Delay) != bits(w.Delay) {
 			t.Fatalf("step %d: critical step %d %+v, fresh analysis %+v", step, i, g, w)
 		}
