@@ -82,7 +82,7 @@ bench-engine:
 # slow (hedged), results byte-identical to the single-node reference.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestKillAndRestart|TestWatchdog|TestBreaker|TestOverload|TestPerClient|TestHealthzDegrades' \
+		-run 'TestChaos|TestKillAndRestart|TestWatchdog|TestOverload|TestPerClient|TestHealthzDegrades' \
 		./internal/jobs/ ./internal/serve/ ./internal/cluster/
 
 # The network chaos suite under the race detector: deterministic

@@ -108,7 +108,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown drain limit for in-flight jobs")
 	maxQueue := flag.Int("max-queue", 0, "admission queue depth beyond workers before shedding 429s (0 = 4x workers, negative disables)")
 	maxPerClient := flag.Int("max-per-client", 0, "concurrent submissions per client (0 = 2x workers, negative disables)")
-	maxAttempts := flag.Int("max-attempts", 0, "attempts per job incl. retries (0 = 3)")
 	nodeID := flag.String("node-id", "", "this node's cluster id (required with -peers or -advertise)")
 	peersFlag := flag.String("peers", "", "cluster seed list as comma-separated id=url pairs, this node included or not (empty = single node)")
 	flag.Bool("gossip", false, "accepted and ignored: every clustered node gossips")
@@ -173,7 +172,6 @@ func main() {
 		Parallelism:  *parallel,
 		CacheEntries: *cache,
 		JobTimeout:   *timeout,
-		MaxAttempts:  *maxAttempts,
 		Journal:      journal,
 		Store:        store,
 	})

@@ -7,11 +7,11 @@ import (
 )
 
 // ErrTaxonomy enforces the typed failure taxonomy at the service
-// boundary. The retry policy, circuit breakers, journal classes, and
-// HTTP status mapping all switch on errors.Is against the sentinel set
-// in internal/jobs — an error that reaches them unclassified falls into
-// ClassFatal, which silently disables retries and feeds the wrong
-// breaker. So inside the configured service packages, every exported
+// boundary. The journal's failure classes and the HTTP status mapping
+// both switch on errors.Is against the sentinel set in internal/jobs —
+// an error that reaches them unclassified falls into ClassFatal and a
+// 500, whatever its real cause. So inside the configured service
+// packages, every exported
 // function that returns an error must return classified errors: a
 // return statement whose error operand is a bare errors.New(...) call,
 // or a fmt.Errorf(...) whose format string has no %w verb, is flagged.

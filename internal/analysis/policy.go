@@ -14,8 +14,7 @@ var CorePackages = []string{
 }
 
 // ServicePackages are the boundary packages (relative to internal/)
-// whose exported errors feed jobs.Classify, the circuit breakers, and
-// the HTTP status mapping.
+// whose exported errors feed jobs.Classify and the HTTP status mapping.
 var ServicePackages = []string{"jobs", "serve", "cluster"}
 
 // MeasurementPackages extend the determinism guarantee to the load

@@ -35,9 +35,6 @@ const (
 	// that sent it: ram, cas, repair, join, compute, or forward (see
 	// jobs.Provenance).
 	ServedByHeader = "X-Gapd-Served-By"
-	// AttemptsHeader counts the pool attempts behind a computed or
-	// joined answer; absent when the answer was already stored.
-	AttemptsHeader = "X-Gapd-Attempts"
 	// ElapsedHeader is the wall-clock milliseconds the sending node
 	// spent on the request.
 	ElapsedHeader = "X-Gapd-Elapsed-Ms"
@@ -118,8 +115,8 @@ func decodePeerResponse(peer string, status int, digest string, body []byte, exp
 			// evaluation is deterministic — so the verdict is terminal.
 			return nil, &PeerError{Peer: peer, Status: status, Msg: msg, err: jobs.ErrSpec}
 		}
-		// 429 (peer shedding), 5xx (peer breaker open, internal error,
-		// peer-side timeout): the peer cannot answer this request now.
+		// 429 (peer shedding), 5xx (internal error, peer-side timeout,
+		// draining): the peer cannot answer this request now.
 		// Availability beats affinity — the caller moves down the
 		// rendezvous order or computes locally.
 		return nil, peerUnavailable(peer, status, msg)

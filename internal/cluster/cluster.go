@@ -31,7 +31,7 @@ import (
 // ErrConfig marks invalid cluster configuration caught at startup
 // (peer-list parsing, self-id mismatches). It is deliberately outside
 // the jobs failure taxonomy — a config error aborts boot and never
-// crosses the retry/breaker path — but wrapping it keeps every exported
+// reaches a job — but wrapping it keeps every exported
 // cluster error classifiable with errors.Is, which gaplint's
 // errtaxonomy analyzer enforces.
 var ErrConfig = errors.New("cluster: invalid configuration")

@@ -31,7 +31,7 @@ func FuzzPeerResponseDecode(f *testing.F) {
 	f.Add(http.StatusOK, bodyDigest(good), good, goodID)
 	f.Add(http.StatusOK, bodyDigest([]byte("x")), good, goodID) // digest mismatch
 	f.Add(http.StatusBadRequest, "", []byte(`{"error":"bad spec"}`), goodID)
-	f.Add(http.StatusServiceUnavailable, "", []byte(`{"error":"breaker open"}`), "")
+	f.Add(http.StatusServiceUnavailable, "", []byte(`{"error":"node is draining; retry against another node"}`), "")
 	f.Add(http.StatusOK, "", []byte(`{"id":"aaaa"}`), goodID) // wrong address
 	f.Add(http.StatusOK, "", []byte("not json"), "")
 	f.Add(-17, "zzz", []byte{0xff, 0x00}, "id")

@@ -4,14 +4,16 @@
 // internal/jobs, and turns a fixed seed into a reproducible schedule of
 // injected failures: typed error returns, panics, artificial latency
 // (cooperative and non-cooperative), context-cancellation storms, and
-// simulated process kills.
+// simulated process kills. Each kind drives one path of the job layer:
+// errors, panics and cancellations give a terminal failure that is never
+// cached, stalls trigger the watchdog, latency holds workers busy for
+// the overload and drain tests, and kills trigger journal replay.
 //
 // Determinism is the point: a fault decision is a pure function of
-// (plan seed, site key), where the site key names a (job, attempt,
-// stage) triple. Two runs of the same chaos test with the same seed see
-// the same faults at the same places regardless of goroutine
-// interleaving, so the suite is reproducible and non-flaky by
-// construction.
+// (plan seed, site key), where the site key names a (job, stage) pair.
+// Two runs of the same chaos test with the same seed see the same faults
+// at the same places regardless of goroutine interleaving, so the suite
+// is reproducible and non-flaky by construction.
 package faultinject
 
 import (
@@ -25,8 +27,8 @@ import (
 )
 
 // ErrInjected marks every error the injector fabricates. The job layer
-// classifies anything wrapping it as transient, so injected failures
-// exercise exactly the retry path a flaky real dependency would.
+// fails the job terminally and labels it transient (a fault of that run,
+// not of the spec), and never caches it.
 var ErrInjected = errors.New("faultinject: injected fault")
 
 // PanicValue is the value injected panics carry, so recover sites (and
@@ -56,7 +58,9 @@ const (
 	// wedged evaluation only the pool watchdog can reclaim.
 	Stall
 	// Cancel: the site reports context.Canceled as if a cancellation
-	// storm had swept the job mid-flight.
+	// storm had swept the job mid-flight while its caller still waits.
+	// The job fails terminally; only the caller hanging up is labelled
+	// canceled.
 	Cancel
 	// Kill: the pool abandons the job without writing a terminal
 	// journal record, exactly as if the process had died between
@@ -217,8 +221,8 @@ func (in *Injector) Fire(ctx context.Context, key string) error {
 
 // StageHook adapts the injector to core.WithStageHook: the site key is
 // the attempt key carried in ctx (see WithAttemptKey) joined with the
-// stage name, so each (job, attempt, stage) is an independent,
-// deterministic fault site.
+// stage name, so each (job, stage) is an independent, deterministic
+// fault site.
 func (in *Injector) StageHook() func(ctx context.Context, stage string) error {
 	return func(ctx context.Context, stage string) error {
 		return in.Fire(ctx, AttemptKey(ctx)+"/"+stage)
@@ -227,8 +231,8 @@ func (in *Injector) StageHook() func(ctx context.Context, stage string) error {
 
 type attemptKeyKey struct{}
 
-// WithAttemptKey stamps the (job, attempt) identity the pool is
-// currently running into ctx, for the stage hook's site keys.
+// WithAttemptKey stamps the identity of the job attempt the pool is
+// running into ctx, for the stage hook's site keys.
 func WithAttemptKey(ctx context.Context, key string) context.Context {
 	return context.WithValue(ctx, attemptKeyKey{}, key)
 }

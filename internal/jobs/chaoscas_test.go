@@ -80,7 +80,7 @@ func TestChaosCASColdRestartZeroRecompute(t *testing.T) {
 	s1 := openTestStore(t, storeDir)
 	p1 := NewPool(Options{
 		Workers: 4, CacheEntries: casCacheEntries,
-		BreakerThreshold: -1, Journal: j1, Store: s1,
+		Journal: j1, Store: s1,
 	})
 	for i, s := range specs {
 		if _, err := p1.Do(context.Background(), s); err != nil {
@@ -108,7 +108,7 @@ func TestChaosCASColdRestartZeroRecompute(t *testing.T) {
 	}
 	p2 := NewPool(Options{
 		Workers: 4, CacheEntries: casCacheEntries,
-		BreakerThreshold: -1, Journal: j2, Store: s2,
+		Journal: j2, Store: s2,
 	})
 	stats, err := RecoverFromJournal(context.Background(), p2, journalDir)
 	if err != nil {
@@ -186,8 +186,8 @@ func TestChaosCASKillMidWrite(t *testing.T) {
 				Seed: seed, KillRate: 0.3, Match: "pool/",
 			})
 			p1 := NewPool(Options{
-				Workers: 2, MaxAttempts: 1, CacheEntries: casCacheEntries,
-				BreakerThreshold: -1, Journal: j1, Store: s1, Injector: in,
+				Workers: 2, CacheEntries: casCacheEntries,
+				Journal: j1, Store: s1, Injector: in,
 			})
 			killed := 0
 			for i, s := range specs {
@@ -238,7 +238,7 @@ func TestChaosCASKillMidWrite(t *testing.T) {
 			}
 			p2 := NewPool(Options{
 				Workers: 2, CacheEntries: casCacheEntries,
-				BreakerThreshold: -1, Journal: j2, Store: s2,
+				Journal: j2, Store: s2,
 			})
 			stats, err := RecoverFromJournal(context.Background(), p2, journalDir)
 			if err != nil {

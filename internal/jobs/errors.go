@@ -3,41 +3,32 @@ package jobs
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"sync"
-	"time"
 
 	"repro/internal/faultinject"
 )
 
 // The failure taxonomy. Every job failure the pool reports wraps exactly
 // one of these markers (or ErrSpec from run.go), so callers can switch on
-// errors.Is instead of matching strings, and the retry policy and HTTP
-// status mapping stay mechanical.
+// errors.Is instead of matching strings, and the journal's failure
+// label and the HTTP status mapping stay mechanical.
 var (
-	// ErrTransient marks failures worth retrying: flaky dependencies,
-	// injected chaos, cancellation storms that were not the caller's.
-	ErrTransient = errors.New("jobs: transient failure")
-	// ErrPanicked marks a job attempt that panicked and was fenced by
-	// the pool. Retryable: the next attempt runs on fresh state.
+	// ErrPanicked marks a job that panicked and was fenced by the pool.
+	// Terminal: the evaluation is a pure function of its spec, so it
+	// would panic again.
 	ErrPanicked = errors.New("jobs: job panicked")
-	// ErrWatchdog marks an attempt the watchdog reclaimed because the
-	// evaluation ignored its deadline (a wedged worker). Retryable.
+	// ErrWatchdog marks a job the watchdog reclaimed because the
+	// evaluation ignored its deadline (a wedged worker). Terminal.
 	ErrWatchdog = errors.New("jobs: watchdog killed job")
-	// ErrBreakerOpen reports that the job kind's circuit breaker is
-	// open and the job was rejected without running. Not retryable
-	// here; the client should back off and retry later (HTTP 503).
-	ErrBreakerOpen = errors.New("jobs: circuit breaker open")
 	// ErrKilled reports a simulated process kill from the fault
 	// injector: the job was abandoned with no terminal journal record,
 	// exactly as if gapd had died mid-job. Recovery tests replay the
 	// journal to pick these up.
 	ErrKilled = errors.New("jobs: worker killed")
 	// ErrPeerUnavailable reports that a cluster peer could not answer a
-	// forwarded request (transport failure, shedding, breaker open, or
-	// peer-side timeout). Transient: the forwarder falls down the
-	// rendezvous order and ultimately computes locally, so the cluster
-	// loses throughput, never availability.
+	// forwarded request (transport failure, shedding, or peer-side
+	// timeout). Transient: the forwarder falls down the rendezvous order
+	// and ultimately computes locally, so the cluster loses throughput,
+	// never availability.
 	ErrPeerUnavailable = errors.New("jobs: peer unavailable")
 	// ErrBadReplica reports that a replicated result failed its
 	// integrity check on arrival: the payload's canonical spec does not
@@ -48,123 +39,49 @@ var (
 	ErrBadReplica = errors.New("jobs: replica failed integrity check")
 )
 
-// Class buckets a job failure for the retry policy and the journal.
+// Class labels a job failure in its error and its journal record. The
+// pool runs every job once whatever its class; the label tells an
+// operator whose fault it was.
 type Class string
 
 // Failure classes.
 const (
-	// ClassTransient failures are retried with backoff up to
-	// Options.MaxAttempts.
+	// ClassTransient failures are faults of one run rather than of the
+	// spec: an unreachable peer, an injected fault, the job's own
+	// timeout, or a cancellation the caller did not make. A later
+	// submission may succeed.
 	ClassTransient Class = "transient"
-	// ClassSpec failures are the client's fault; retrying cannot help.
+	// ClassSpec failures are the client's fault; resubmitting cannot help.
 	ClassSpec Class = "spec"
 	// ClassCanceled failures mean the caller gave up; the work is
-	// abandoned, not retried.
+	// abandoned.
 	ClassCanceled Class = "canceled"
-	// ClassFatal failures are internal errors with no retry story.
+	// ClassFatal failures are internal errors the same spec would
+	// repeat: a panic, a wedge the watchdog reclaimed, a simulated kill,
+	// or any error the taxonomy does not name.
 	ClassFatal Class = "fatal"
 )
 
-// Classify buckets err. ctx is the job's outer context: an injected
-// context.Canceled while the caller is still waiting is a cancellation
-// storm (transient), whereas context.Canceled with ctx dead is the
-// caller hanging up (canceled). The same split applies to deadlines —
-// DeadlineExceeded with the caller's own deadline expired is the caller
-// hanging up, not an attempt timeout.
+// Classify buckets err. ctx is the job's outer context: a
+// context.Canceled or DeadlineExceeded with ctx dead is the caller
+// hanging up (canceled), whereas one while the caller is still waiting
+// is the job's own timeout or a cancellation storm (transient).
 func Classify(ctx context.Context, err error) Class {
 	switch {
 	case err == nil:
 		return ""
 	case errors.Is(err, ErrSpec):
 		return ClassSpec
-	case errors.Is(err, ErrBreakerOpen), errors.Is(err, ErrKilled):
+	case errors.Is(err, ErrPanicked), errors.Is(err, ErrWatchdog), errors.Is(err, ErrKilled):
 		return ClassFatal
-	case errors.Is(err, ErrTransient),
-		errors.Is(err, ErrPanicked),
-		errors.Is(err, ErrWatchdog),
-		errors.Is(err, ErrPeerUnavailable),
-		errors.Is(err, faultinject.ErrInjected):
+	case errors.Is(err, ErrPeerUnavailable), errors.Is(err, faultinject.ErrInjected):
 		return ClassTransient
-	case errors.Is(err, context.DeadlineExceeded):
-		// The attempt deadline (JobTimeout) is the pool's own and worth
-		// a retry; the caller's outer deadline means the caller gave up
-		// — an impatient client must not feed the kind's breaker.
-		if ctx != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		if ctx != nil && ctx.Err() != nil {
 			return ClassCanceled
 		}
 		return ClassTransient
-	case errors.Is(err, context.Canceled):
-		if ctx != nil && ctx.Err() == nil {
-			return ClassTransient
-		}
-		return ClassCanceled
 	default:
 		return ClassFatal
-	}
-}
-
-// Retryable reports whether the class is worth another attempt.
-func (c Class) Retryable() bool { return c == ClassTransient }
-
-// Backoff is the retry schedule for transient failures: exponential
-// growth from Base capped at Max, with up to Jitter fraction of random
-// spread so retry storms decorrelate.
-type Backoff struct {
-	Base   time.Duration
-	Max    time.Duration
-	Jitter float64
-
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// NewBackoff builds a schedule, applying defaults (base 50ms, max 2s,
-// jitter 0.25; pass a negative jitter to disable it). seed fixes the
-// jitter stream for reproducible tests.
-func NewBackoff(base, max time.Duration, jitter float64, seed int64) *Backoff {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	if jitter == 0 {
-		jitter = 0.25
-	}
-	if jitter < 0 || jitter > 1 {
-		jitter = 0
-	}
-	return &Backoff{Base: base, Max: max, Jitter: jitter, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Delay returns the wait before retry attempt `attempt` (0 = first
-// retry): Base<<attempt capped at Max, minus up to Jitter of itself.
-func (b *Backoff) Delay(attempt int) time.Duration {
-	d := b.Base
-	for i := 0; i < attempt && d < b.Max; i++ {
-		d *= 2
-	}
-	if d > b.Max {
-		d = b.Max
-	}
-	if b.Jitter > 0 {
-		b.mu.Lock()
-		f := 1 - b.Jitter*b.rng.Float64()
-		b.mu.Unlock()
-		d = time.Duration(float64(d) * f)
-	}
-	return d
-}
-
-// Sleep waits Delay(attempt) or until ctx is done, reporting ctx's
-// error if the caller hung up mid-backoff.
-func (b *Backoff) Sleep(ctx context.Context, attempt int) error {
-	t := time.NewTimer(b.Delay(attempt))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }

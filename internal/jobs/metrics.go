@@ -35,14 +35,9 @@ type Metrics struct {
 	CASErrors       atomic.Int64
 	CASCorruptReads atomic.Int64
 
-	// Fault-handling counters (retry/backoff, watchdog, admission
-	// control, circuit breaker, journal).
-	JobsRetried   atomic.Int64 // transient failures given another attempt
+	// Fault-handling counters (watchdog, admission control, journal).
 	JobsShed      atomic.Int64 // submissions rejected by load shedding (429)
-	JobsAbandoned atomic.Int64 // attempts the watchdog reclaimed from wedged workers
-
-	BreakerTrips         atomic.Int64 // breaker transitions to open
-	BreakerShortCircuits atomic.Int64 // submissions rejected by an open breaker
+	JobsAbandoned atomic.Int64 // jobs the watchdog reclaimed from wedged workers
 
 	JournalAccepted         atomic.Int64 // accept records fsynced
 	JournalCompleted        atomic.Int64 // done records written
@@ -100,7 +95,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"failed":    m.JobsFailed.Load(),
 		"timed_out": m.JobsTimedOut.Load(),
 		"panicked":  m.JobsPanicked.Load(),
-		"retried":   m.JobsRetried.Load(),
 		"shed":      m.JobsShed.Load(),
 		"abandoned": m.JobsAbandoned.Load(),
 	}
@@ -114,10 +108,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"misses":        m.CASMisses.Load(),
 		"errors":        m.CASErrors.Load(),
 		"corrupt_reads": m.CASCorruptReads.Load(),
-	}
-	breaker := map[string]any{
-		"trips":          m.BreakerTrips.Load(),
-		"short_circuits": m.BreakerShortCircuits.Load(),
 	}
 	journal := map[string]any{
 		"accepted":          m.JournalAccepted.Load(),
@@ -144,7 +134,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"jobs":       jobs,
 		"cache":      cache,
 		"cas":        cas,
-		"breaker":    breaker,
 		"journal":    journal,
 		"latency_ms": lat,
 	}

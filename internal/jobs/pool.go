@@ -37,7 +37,7 @@ type Options struct {
 	// CacheEntries sizes the content-addressed result cache
 	// (default 512; 0 keeps the default, negative disables caching).
 	CacheEntries int
-	// JobTimeout caps one attempt's wall clock (default 2 minutes).
+	// JobTimeout caps a job's wall clock (default 2 minutes).
 	JobTimeout time.Duration
 	// RegistryLimit bounds retained finished jobs for GET /v1/jobs/{id}
 	// (default 1024); the oldest finished jobs are evicted first.
@@ -46,32 +46,13 @@ type Options struct {
 	// set (retrievable via Pool.Metrics).
 	Metrics *Metrics
 
-	// MaxAttempts bounds runs of one job including retries of transient
-	// failures (default 3; 1 disables retries).
-	MaxAttempts int
-	// RetryBase/RetryMax/RetryJitter shape the exponential backoff
-	// between attempts (defaults 50ms / 2s / 0.25; a negative jitter
-	// disables it). The backoff is served inside the job's worker
-	// slot, so MaxAttempts*RetryMax bounds how long a slot can be held
-	// by a failing job.
-	RetryBase   time.Duration
-	RetryMax    time.Duration
-	RetryJitter float64
 	// WatchdogGrace is how long past JobTimeout the watchdog waits for
-	// a wedged attempt to honour cancellation before abandoning its
-	// goroutine and failing the attempt (default 2s). Abandoned
-	// goroutines park until the wedge releases; once more than Workers
-	// are parked the pool fails watchdog errors fast instead of
-	// retrying, bounding the goroutine pile-up a persistent stall can
-	// build (see Pool.AbandonedInFlight).
+	// a wedged job to honour cancellation before abandoning its
+	// goroutine and failing the job with ErrWatchdog (default 2s).
+	// Abandoned goroutines park until the wedge releases (see
+	// Pool.AbandonedInFlight); each job has one attempt, so each
+	// submission can park at most one.
 	WatchdogGrace time.Duration
-	// BreakerThreshold is the consecutive non-spec failures of one job
-	// kind that trip its circuit breaker (default 5; negative
-	// disables the breakers).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker rejects jobs
-	// before half-opening for a probe (default 10s).
-	BreakerCooldown time.Duration
 	// Journal, when set, write-ahead-logs accepted jobs (fsync before
 	// run) and their outcomes, so a restart can recover pending work
 	// and warm cache keys via RecoverFromJournal.
@@ -89,30 +70,24 @@ type Options struct {
 
 // Pool is the job engine: a bounded worker pool over Run with a
 // content-addressed cache, in-flight deduplication, per-job timeouts,
-// and panic recovery. Do is synchronous — the caller's goroutine carries
-// the job through a worker slot — so shutting down the HTTP server that
-// fronts the pool drains it for free.
+// and panic recovery. Each job gets exactly one attempt. Do is
+// synchronous — the caller's goroutine carries the job through a worker
+// slot — so shutting down the HTTP server that fronts the pool drains it
+// for free.
 type Pool struct {
 	opt     Options
 	slots   chan struct{}
 	cache   *Cache
 	store   *cas.Store
 	metrics *Metrics
-	backoff *Backoff
-
-	// breakers holds one circuit breaker per executable job kind; nil
-	// when breakers are disabled.
-	breakers map[Kind]*breaker
 
 	// queued counts submissions waiting for a worker slot — the
 	// admission-control signal the HTTP layer sheds on.
 	queued atomic.Int64
 
-	// abandoned counts watchdog-abandoned attempts whose goroutines are
-	// still parked on whatever wedged them. Each holds working memory
-	// beyond the Workers limit, so once more than Workers are parked
-	// the pool stops retrying watchdog failures (fail fast) instead of
-	// stacking concurrent evaluations of a wedged backend without bound.
+	// abandoned counts watchdog-abandoned jobs whose goroutines are
+	// still parked on whatever wedged them; each holds working memory
+	// beyond the Workers limit.
 	abandoned atomic.Int64
 
 	// runFn replaces Run in tests (nil means Run).
@@ -226,20 +201,8 @@ func NewPool(opt Options) *Pool {
 	if opt.Metrics == nil {
 		opt.Metrics = NewMetrics()
 	}
-	if opt.MaxAttempts <= 0 {
-		opt.MaxAttempts = 3
-	}
 	if opt.WatchdogGrace <= 0 {
 		opt.WatchdogGrace = 2 * time.Second
-	}
-	switch {
-	case opt.BreakerThreshold == 0:
-		opt.BreakerThreshold = 5
-	case opt.BreakerThreshold < 0:
-		opt.BreakerThreshold = 0 // disabled
-	}
-	if opt.BreakerCooldown <= 0 {
-		opt.BreakerCooldown = 10 * time.Second
 	}
 	p := &Pool{
 		opt:      opt,
@@ -247,7 +210,6 @@ func NewPool(opt Options) *Pool {
 		cache:    NewCache(opt.CacheEntries),
 		store:    opt.Store,
 		metrics:  opt.Metrics,
-		backoff:  NewBackoff(opt.RetryBase, opt.RetryMax, opt.RetryJitter, 1),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
 	}
@@ -257,13 +219,6 @@ func NewPool(opt Options) *Pool {
 		// least as hot, so a scan over cold keys cannot flush the
 		// working set out of RAM.
 		p.cache.SetAdmission(p.store.Admit)
-	}
-	if opt.BreakerThreshold > 0 {
-		p.breakers = map[Kind]*breaker{
-			KindEvaluate: newBreaker(opt.BreakerThreshold, opt.BreakerCooldown),
-			KindLadder:   newBreaker(opt.BreakerThreshold, opt.BreakerCooldown),
-			KindSweep:    newBreaker(opt.BreakerThreshold, opt.BreakerCooldown),
-		}
 	}
 	return p
 }
@@ -306,10 +261,6 @@ const (
 type Answer struct {
 	*Stored
 	By Provenance
-	// Attempts counts the pool attempts behind a compute, or behind the
-	// compute a join waited on (1 = the first try succeeded); 0 when the
-	// answer was already stored.
-	Attempts int
 }
 
 // Do executes the spec through the pool and returns its result; it is
@@ -325,19 +276,19 @@ func (p *Pool) Do(ctx context.Context, s Spec) (*Result, error) {
 // Serve executes the spec through the pool and returns its stored
 // answer: from the cache when an identical evaluation already ran, from
 // the disk store, by joining an identical in-flight job when one is
-// running, and otherwise by carrying the job through a worker slot with
-// the pool's per-attempt timeout and watchdog, panic recovery, and
-// bounded retries of transient failures. A computed result is encoded
-// once, here, and every later answer for its address reuses those
-// bytes. Serve blocks; cancel ctx to give up waiting (the underlying
-// computation stops at the next flow-stage boundary).
+// running, and otherwise by carrying the job through a worker slot for
+// one attempt under the pool's timeout and watchdog, behind its panic
+// fence. A computed result is encoded once, here, and every later answer
+// for its address reuses those bytes. Serve blocks; cancel ctx to give
+// up waiting (the underlying computation stops at the next flow-stage
+// boundary).
 //
-// Failure handling: errors are classified (Classify) into transient /
-// spec / canceled / fatal. Transient failures retry with exponential
-// backoff up to Options.MaxAttempts; non-spec failures feed the job
-// kind's circuit breaker, and an open breaker rejects submissions with
-// ErrBreakerOpen before any work runs. The cache only ever stores fully
-// successful results — a failed job leaves no cache entry.
+// Failure handling: a failed job is terminal. An evaluation is a pure
+// function of its canonical spec, so a spec that panicked or wedged
+// would do the same on a second attempt. The error is labelled by
+// Classify (spec / transient / canceled / fatal) and journaled, and the
+// cache only ever stores fully successful results — a failed job
+// leaves no cache entry, so a later submission runs it afresh.
 func (p *Pool) Serve(ctx context.Context, s Spec) (Answer, error) {
 	c, err := s.Canon()
 	if err != nil {
@@ -381,33 +332,6 @@ func (p *Pool) Serve(ctx context.Context, s Spec) (Answer, error) {
 		p.metrics.CASMisses.Add(1)
 	}
 
-	// An open breaker rejects the kind before any state is created. If
-	// this submission took the half-open probe slot, it must end the
-	// probe on every exit path: record feeds an outcome to the breaker,
-	// and the deferred Release frees a probe that reached an exit with
-	// no recordable outcome (joined an in-flight twin, caller hung up,
-	// spec error, simulated kill) — otherwise the breaker would stay
-	// half-open with the probe slot taken and reject the kind forever.
-	br := p.breakerFor(c.Kind)
-	probe := false
-	if br != nil {
-		allowed, pr := br.Allow(time.Now())
-		if !allowed {
-			p.metrics.BreakerShortCircuits.Add(1)
-			return Answer{}, fmt.Errorf("%w (kind %s)", ErrBreakerOpen, c.Kind)
-		}
-		probe = pr
-		defer func() {
-			if probe {
-				br.Release()
-			}
-		}()
-	}
-	record := func(ok bool) (tripped bool) {
-		probe = false
-		return br.Record(ok, time.Now())
-	}
-
 	p.mu.Lock()
 	if j, ok := p.inflight[id]; ok {
 		a := j.joined
@@ -445,7 +369,7 @@ func (p *Pool) Serve(ctx context.Context, s Spec) (Answer, error) {
 	case <-ctx.Done():
 		p.queued.Add(-1)
 		p.journalFail(id, ctx.Err(), ClassCanceled)
-		p.finish(j, nil, 0, ctx.Err())
+		p.finish(j, nil, ctx.Err())
 		return Answer{}, ctx.Err()
 	}
 	defer func() { <-p.slots }()
@@ -456,84 +380,55 @@ func (p *Pool) Serve(ctx context.Context, s Spec) (Answer, error) {
 	j.mu.Unlock()
 	p.metrics.JobsStarted.Add(1)
 
-	for attempt := 0; ; attempt++ {
-		attemptStart := time.Now()
-		res, err := p.runAttempt(ctx, c, id, attempt)
-		var st *Stored
-		if err == nil {
-			// The one encode of this result: its bytes and digest are
-			// what the cache, the store, replicas and every response use.
-			st, err = Encode(res)
-		}
-		if err == nil {
-			if br != nil {
-				record(true)
-			}
-			p.metrics.JobsCompleted.Add(1)
-			p.metrics.Observe("job_"+string(c.Kind), time.Since(attemptStart))
-			p.cache.Put(id, st)
-			p.persistResult(st)
-			p.finish(j, st, attempt+1, nil)
-			return Answer{Stored: st, By: ServedCompute, Attempts: attempt + 1}, nil
-		}
-
-		if errors.Is(err, context.DeadlineExceeded) {
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				// The caller's own deadline expired, not the attempt's:
-				// the caller gave up, the job did not time out.
-				err = fmt.Errorf("jobs: job %s abandoned at the caller's deadline: %w", id[:12], err)
-			} else {
-				p.metrics.JobsTimedOut.Add(1)
-				err = fmt.Errorf("jobs: job %s timed out after %v: %w", id[:12], p.opt.JobTimeout, err)
-			}
-		}
-		class := Classify(ctx, err)
-		if class.Retryable() && errors.Is(err, ErrWatchdog) && p.abandoned.Load() > int64(p.opt.Workers) {
-			// Too many abandoned goroutines are already parked: a retry
-			// would stack yet another concurrent evaluation on a wedged
-			// backend. Fail fast (and let the breaker see it) instead.
-			err = fmt.Errorf("jobs: %d watchdog-abandoned attempts still parked (cap %d), not retrying: %w",
-				p.abandoned.Load(), p.opt.Workers, err)
-			class = ClassFatal
-		}
-		if class.Retryable() && attempt+1 < p.opt.MaxAttempts && ctx.Err() == nil {
-			p.metrics.JobsRetried.Add(1)
-			if serr := p.backoff.Sleep(ctx, attempt); serr == nil {
-				continue
-			}
-			// The caller hung up mid-backoff.
-			err = fmt.Errorf("jobs: job %s canceled during retry backoff: %w", id[:12], ctx.Err())
-			class = ClassCanceled
-		}
-		// Only the job's terminal outcome feeds the breaker — a job
-		// that retried its way to success is a success, and spec
-		// errors, caller cancellations, and simulated process kills are
-		// not failures of the kind.
-		if br != nil && (class == ClassTransient || class == ClassFatal) && !errors.Is(err, ErrKilled) {
-			if record(false) {
-				p.metrics.BreakerTrips.Add(1)
-			}
-		}
-		p.metrics.JobsFailed.Add(1)
-		err = fmt.Errorf("jobs: job %s failed (%s, attempt %d/%d): %w",
-			id[:12], class, attempt+1, p.opt.MaxAttempts, err)
-		if !errors.Is(err, ErrKilled) {
-			// A simulated kill must leave no terminal record — that is
-			// exactly the crash signature the journal replay recovers.
-			p.journalFail(id, err, class)
-		}
-		p.finish(j, nil, 0, err)
-		return Answer{}, err
+	runStart := time.Now()
+	res, err := p.runAttempt(ctx, c, id)
+	var st *Stored
+	if err == nil {
+		// The one encode of this result: its bytes and digest are what
+		// the cache, the store, replicas and every response use.
+		st, err = Encode(res)
 	}
+	if err == nil {
+		p.metrics.JobsCompleted.Add(1)
+		p.metrics.Observe("job_"+string(c.Kind), time.Since(runStart))
+		p.cache.Put(id, st)
+		p.persistResult(st)
+		p.finish(j, st, nil)
+		return Answer{Stored: st, By: ServedCompute}, nil
+	}
+
+	if errors.Is(err, context.DeadlineExceeded) {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			// The caller's own deadline expired, not the job's: the
+			// caller gave up, the job did not time out.
+			err = fmt.Errorf("jobs: job %s abandoned at the caller's deadline: %w", id[:12], err)
+		} else {
+			p.metrics.JobsTimedOut.Add(1)
+			err = fmt.Errorf("jobs: job %s timed out after %v: %w", id[:12], p.opt.JobTimeout, err)
+		}
+	}
+	class := Classify(ctx, err)
+	p.metrics.JobsFailed.Add(1)
+	err = fmt.Errorf("jobs: job %s failed (%s): %w", id[:12], class, err)
+	if !errors.Is(err, ErrKilled) {
+		// A simulated kill must leave no terminal record — that is
+		// exactly the crash signature the journal replay recovers.
+		p.journalFail(id, err, class)
+	}
+	p.finish(j, nil, err)
+	return Answer{}, err
 }
 
-// runAttempt executes one attempt of the job with the pool's timeout,
+// runAttempt executes the job's one attempt with the pool's timeout,
 // watchdog, panic fence, and fault-injection seams. The pool seam's
-// fault site is keyed "pool/<kind>/<hash12>/a<attempt>"; stage seams
-// append "/<stage>" via the injected stage hook, so every (job,
-// attempt, stage) draws an independent, deterministic fault.
-func (p *Pool) runAttempt(ctx context.Context, c Spec, id string, attempt int) (*Result, error) {
-	attemptKey := fmt.Sprintf("%s/%s/a%d", c.Kind, id[:12], attempt)
+// fault site is keyed "pool/<kind>/<hash12>/a0"; stage seams append
+// "/<stage>" via the injected stage hook, so every (job, stage) draws an
+// independent, deterministic fault. The "/a0" names the first attempt
+// from when a failed job could run again under "a1", "a2", …; keeping
+// the key byte for byte means every committed chaos seed still draws the
+// faults it always drew.
+func (p *Pool) runAttempt(ctx context.Context, c Spec, id string) (*Result, error) {
+	attemptKey := string(c.Kind) + "/" + id[:12] + "/a0"
 	poolKey := ""
 	if in := p.opt.Injector; in != nil {
 		poolKey = "pool/" + attemptKey
@@ -555,9 +450,8 @@ func (p *Pool) runAttempt(ctx context.Context, c Spec, id string, attempt int) (
 	// the worker slot from an evaluation that ignores its deadline. A
 	// cooperative attempt returns through outcome; a wedged one is
 	// abandoned (its goroutine parks until whatever wedged it lets go —
-	// the panic fence still contains it) and the attempt fails with
-	// ErrWatchdog, which is transient and therefore requeued while
-	// retry budget remains.
+	// the panic fence still contains it) and the job fails with
+	// ErrWatchdog, terminally: the same spec would wedge again.
 	type outcome struct {
 		res *Result
 		err error
@@ -589,13 +483,13 @@ func (p *Pool) runAttempt(ctx context.Context, c Spec, id string, attempt int) (
 		}
 		p.abandoned.Add(1)
 		p.metrics.JobsAbandoned.Add(1)
-		return nil, fmt.Errorf("%w: job %s attempt %d ignored its %v deadline for %v",
-			ErrWatchdog, id[:12], attempt+1, p.opt.JobTimeout, p.opt.WatchdogGrace)
+		return nil, fmt.Errorf("%w: job %s ignored its %v deadline for %v",
+			ErrWatchdog, id[:12], p.opt.JobTimeout, p.opt.WatchdogGrace)
 	}
 }
 
 // safeRun is Run behind a panic fence: a panicking flow evaluation fails
-// its own attempt with a typed, retryable error instead of taking down
+// its own job with a typed error (ErrPanicked) instead of taking down
 // the service. The pool-level fault seam fires here — inside the fence
 // and under the watchdog — so injected panics are contained and injected
 // stalls are reclaimed like any other wedged attempt.
@@ -672,46 +566,14 @@ func (p *Pool) publish(res *Result) (*Stored, error) {
 	return st, nil
 }
 
-// breakerFor returns the kind's circuit breaker, or nil when disabled.
-func (p *Pool) breakerFor(kind Kind) *breaker {
-	if p.breakers == nil {
-		return nil
-	}
-	return p.breakers[kind]
-}
-
-// BreakerOpen reports whether any job kind's breaker is currently open
-// (the /healthz degradation signal), and which kinds.
-func (p *Pool) BreakerOpen() (open bool, kinds []Kind) {
-	for _, kind := range []Kind{KindEvaluate, KindLadder, KindSweep} {
-		if b := p.breakerFor(kind); b != nil && b.State() == breakerOpen {
-			open = true
-			kinds = append(kinds, kind)
-		}
-	}
-	return open, kinds
-}
-
-// BreakerStates snapshots every breaker's state for /metrics.
-func (p *Pool) BreakerStates() map[string]string {
-	states := map[string]string{}
-	for _, kind := range []Kind{KindEvaluate, KindLadder, KindSweep} {
-		if b := p.breakerFor(kind); b != nil {
-			states[string(kind)] = string(b.State())
-		}
-	}
-	return states
-}
-
 // QueueDepth reports submissions waiting for a worker slot — the load
 // signal admission control sheds on.
 func (p *Pool) QueueDepth() int { return int(p.queued.Load()) }
 
-// AbandonedInFlight reports watchdog-abandoned attempts whose goroutines
-// are still parked on whatever wedged them — an operator alert signal:
-// a persistently nonzero value means evaluations are ignoring
-// cancellation. Once it exceeds Workers the pool stops retrying
-// watchdog failures and fails them fast instead.
+// AbandonedInFlight reports watchdog-abandoned jobs whose goroutines are
+// still parked on whatever wedged them — an operator alert signal: a
+// persistently nonzero value means evaluations are ignoring
+// cancellation.
 func (p *Pool) AbandonedInFlight() int { return int(p.abandoned.Load()) }
 
 // InFlight reports jobs accepted but not yet finished (queued or
@@ -787,7 +649,7 @@ func (p *Pool) journalFail(id string, err error, class Class) {
 }
 
 // finish publishes the job's outcome and releases the in-flight slot.
-func (p *Pool) finish(j *Job, st *Stored, attempts int, err error) {
+func (p *Pool) finish(j *Job, st *Stored, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	if j.started.IsZero() {
@@ -799,7 +661,7 @@ func (p *Pool) finish(j *Job, st *Stored, attempts int, err error) {
 	} else {
 		j.state = StateDone
 		j.result, _ = st.Result() // st was encoded from its result: no decode
-		j.joined.Stored, j.joined.Attempts = st, attempts
+		j.joined.Stored = st
 	}
 	j.mu.Unlock()
 	close(j.done)

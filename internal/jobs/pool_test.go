@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -26,15 +27,15 @@ func TestPoolCachesIdenticalSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1.By != ServedCompute || a1.Attempts != 1 {
-		t.Errorf("first run served by %q after %d attempts, want compute after 1", a1.By, a1.Attempts)
+	if a1.By != ServedCompute {
+		t.Errorf("first run served by %q, want compute", a1.By)
 	}
 	a2, err := p.Serve(ctx, smallEval(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a2.By != ServedRAM || a2.Attempts != 0 {
-		t.Errorf("identical rerun served by %q after %d attempts, want a RAM hit", a2.By, a2.Attempts)
+	if a2.By != ServedRAM {
+		t.Errorf("identical rerun served by %q, want a RAM hit", a2.By)
 	}
 	// A hit is the stored entry itself: same bytes, same digest, no copy.
 	if a1.Stored != a2.Stored {
@@ -90,7 +91,7 @@ func TestPoolDeduplicatesInflight(t *testing.T) {
 }
 
 func TestPoolRecoversPanics(t *testing.T) {
-	p := NewPool(Options{Workers: 1, MaxAttempts: 1})
+	p := NewPool(Options{Workers: 1})
 	p.runFn = func(context.Context, Spec, int) (*Result, error) {
 		panic("boom")
 	}
@@ -109,7 +110,7 @@ func TestPoolRecoversPanics(t *testing.T) {
 }
 
 func TestPoolTimesOutSlowJobs(t *testing.T) {
-	p := NewPool(Options{Workers: 1, JobTimeout: 30 * time.Millisecond, MaxAttempts: 1})
+	p := NewPool(Options{Workers: 1, JobTimeout: 30 * time.Millisecond})
 	p.runFn = func(ctx context.Context, c Spec, _ int) (*Result, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -127,6 +128,30 @@ func TestPoolTimesOutSlowJobs(t *testing.T) {
 	}
 	if st := j.Status(); st.State != StateFailed || st.Error == "" {
 		t.Errorf("status = %+v", st)
+	}
+	// The pool's own deadline is a fault of this run: transient.
+	if class := Classify(context.Background(), err); class != ClassTransient {
+		t.Errorf("job timeout classified %s, want transient", class)
+	}
+
+	// A caller deadline shorter than JobTimeout means the caller hung
+	// up: classified canceled, and not counted as a job timeout.
+	p = NewPool(Options{Workers: 1, JobTimeout: time.Second})
+	p.runFn = func(ctx context.Context, c Spec, _ int) (*Result, error) {
+		<-ctx.Done() // slow but healthy: honours cancellation
+		return nil, ctx.Err()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	_, err = p.Do(ctx, smallEval(1))
+	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if class := Classify(ctx, err); class != ClassCanceled {
+		t.Errorf("class = %s, want canceled (the caller's deadline, not the job's)", class)
+	}
+	if n := p.Metrics().JobsTimedOut.Load(); n != 0 {
+		t.Errorf("timeouts = %d, want 0 (the job did not exceed JobTimeout)", n)
 	}
 }
 
@@ -180,33 +205,65 @@ func TestPoolRegistryEviction(t *testing.T) {
 	}
 }
 
-// TestAbandonedAttemptsBounded: under a persistent wedge, watchdog
-// retries stop once more than Workers abandoned goroutines are parked —
-// the job fails fast instead of stacking concurrent evaluations without
-// bound — and the AbandonedInFlight gauge drains once the wedge lets go.
+// TestPoisonSpecDoesNotBlockKind: a spec whose evaluation panics fails
+// each submission after exactly one fenced run, however often it is
+// submitted, and never blocks healthy specs of the same kind.
+func TestPoisonSpecDoesNotBlockKind(t *testing.T) {
+	poison := smallEval(13).Hash()
+	var poisonRuns atomic.Int64
+	p := NewPool(Options{Workers: 1})
+	p.runFn = func(ctx context.Context, c Spec, _ int) (*Result, error) {
+		if c.Hash() == poison {
+			poisonRuns.Add(1)
+			panic("poison spec")
+		}
+		return &Result{ID: c.Hash(), Kind: c.Kind, Spec: c}, nil
+	}
+	for i := int64(1); i <= 6; i++ {
+		_, err := p.Do(context.Background(), smallEval(13))
+		if !errors.Is(err, ErrPanicked) {
+			t.Fatalf("submission %d: err = %v, want ErrPanicked", i, err)
+		}
+		if got := poisonRuns.Load(); got != i {
+			t.Fatalf("after submission %d the poison spec ran %d times, want %d", i, got, i)
+		}
+	}
+	if _, err := p.Do(context.Background(), smallEval(14)); err != nil {
+		t.Fatalf("healthy evaluate after the poison spec: %v", err)
+	}
+	if got := p.Cache().Len(); got != 1 {
+		t.Errorf("cache entries = %d, want 1 (the healthy result only)", got)
+	}
+}
+
+// TestAbandonedAttemptsBounded: a wedge that ignores cancellation parks
+// exactly one goroutine per submission — the job fails with ErrWatchdog
+// after its one attempt and is not run again — and the AbandonedInFlight
+// gauge drains once the wedge lets go.
 func TestAbandonedAttemptsBounded(t *testing.T) {
 	block := make(chan struct{})
+	var runs atomic.Int64
 	p := NewPool(Options{
-		Workers: 1, MaxAttempts: 5,
+		Workers:       1,
 		JobTimeout:    10 * time.Millisecond,
 		WatchdogGrace: 10 * time.Millisecond,
-		RetryBase:     time.Millisecond, RetryMax: time.Millisecond,
 	})
 	p.runFn = func(ctx context.Context, c Spec, _ int) (*Result, error) {
+		runs.Add(1)
 		<-block // wedged: ignores cancellation entirely
 		return nil, errors.New("wedge released")
 	}
-	_, err := p.Do(context.Background(), smallEval(1))
-	if err == nil || !errors.Is(err, ErrWatchdog) {
-		t.Fatalf("err = %v, want ErrWatchdog", err)
+	for i := int64(1); i <= 2; i++ {
+		_, err := p.Do(context.Background(), smallEval(i))
+		if err == nil || !errors.Is(err, ErrWatchdog) {
+			t.Fatalf("submission %d: err = %v, want ErrWatchdog", i, err)
+		}
+		if got := runs.Load(); got != i {
+			t.Errorf("after submission %d the wedge ran %d times, want %d", i, got, i)
+		}
 	}
-	// Workers=1 admits one parked goroutine: the first abandon retries,
-	// the second fails fast rather than parking a third.
 	if got := p.Metrics().JobsAbandoned.Load(); got != 2 {
-		t.Errorf("abandoned = %d, want 2 (one retry, then fail-fast)", got)
-	}
-	if got := p.Metrics().JobsRetried.Load(); got != 1 {
-		t.Errorf("retried = %d, want 1", got)
+		t.Errorf("abandoned = %d, want 2 (one per submission)", got)
 	}
 	if got := p.AbandonedInFlight(); got != 2 {
 		t.Errorf("abandoned in flight = %d, want 2", got)

@@ -17,9 +17,9 @@ import (
 // one payload field is set, matching Kind. Results are immutable once
 // published: the cache and concurrent readers share them.
 //
-// Facts about one particular response (which tier served it, how many
-// attempts a compute took, how long it ran) are not part of the result;
-// gapd sends them as response headers (see cluster.ServedByHeader).
+// Facts about one particular response (which tier served it, how long
+// it ran) are not part of the result; gapd sends them as response
+// headers (see cluster.ServedByHeader).
 type Result struct {
 	// ID is the content address (Spec.Hash) of the canonical spec.
 	ID   string `json:"id"`

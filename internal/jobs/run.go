@@ -16,8 +16,8 @@ import (
 var ErrSpec = errors.New("invalid job spec")
 
 // RunService executes one spec through a single-shot pool, so CLI
-// callers get the same retry/backoff, watchdog, and panic-fence
-// behaviour as the gapd daemon. It returns the result's stored form:
+// callers get the same timeout, watchdog, and panic-fence behaviour as
+// the gapd daemon. It returns the result's stored form:
 // Body is byte-for-byte the HTTP body gapd serves for the same spec,
 // which is what a CLI's -json prints.
 func RunService(ctx context.Context, s Spec, parallelism int) (*Stored, error) {
@@ -152,7 +152,7 @@ func forEachLimited(ctx context.Context, workers, n int, fn func(ctx context.Con
 
 	// Each unit runs behind its own panic fence: a panic in one rung or
 	// sweep-point evaluation (a bug, or injected chaos) fails that unit
-	// with a typed, retryable error instead of crashing the process —
+	// with a typed error (ErrPanicked) instead of crashing the process —
 	// the inner goroutines here are outside the pool's own recover.
 	runUnit := func(i int) (err error) {
 		defer func() {

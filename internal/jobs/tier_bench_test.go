@@ -31,7 +31,7 @@ func BenchmarkTierHitRAM(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	p := NewPool(Options{Workers: 1, BreakerThreshold: -1, Store: s})
+	p := NewPool(Options{Workers: 1, Store: s})
 	spec := benchSpec(b, 1)
 	if _, err := p.Do(context.Background(), spec); err != nil {
 		b.Fatal(err)
@@ -57,13 +57,13 @@ func BenchmarkTierHitCAS(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	warm := NewPool(Options{Workers: 1, BreakerThreshold: -1, Store: s})
+	warm := NewPool(Options{Workers: 1, Store: s})
 	spec := benchSpec(b, 1)
 	if _, err := warm.Do(context.Background(), spec); err != nil {
 		b.Fatal(err)
 	}
 	// CacheEntries < 0 disables the RAM tier: every Do is a CAS hit.
-	p := NewPool(Options{Workers: 1, CacheEntries: -1, BreakerThreshold: -1, Store: s})
+	p := NewPool(Options{Workers: 1, CacheEntries: -1, Store: s})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -198,19 +198,19 @@ type SpeedReport struct {
 	FastGain float64 // Fast/Median - 1: "fastest parts X% above typical"
 }
 
-// Analyze builds the report from sampled speeds.
+// Analyze builds the report from sampled speeds. An empty sample (or
+// one whose median is zero) gives zero ratios, never NaN.
 func Analyze(speeds []float64) SpeedReport {
 	r := SpeedReport{
 		Rated:  ASICRating(speeds),
 		Median: Quantile(speeds, 0.5),
 		Fast:   Quantile(speeds, 0.99),
 	}
-	p1 := Quantile(speeds, 0.01)
-	r.Spread = (r.Fast - p1) / r.Median
 	if r.Rated > 0 {
 		r.TypGain = r.Median/r.Rated - 1
 	}
 	if r.Median > 0 {
+		r.Spread = (r.Fast - Quantile(speeds, 0.01)) / r.Median
 		r.FastGain = r.Fast/r.Median - 1
 	}
 	return r
@@ -230,7 +230,8 @@ type Bin struct {
 
 // SpeedBin sorts dies into grades at the given ascending speed floors;
 // dies below the first floor are discards (returned as the first bin with
-// MinSpeed 0). This is the custom vendor's down-binning machinery.
+// MinSpeed 0). This is the custom vendor's down-binning machinery. An
+// empty sample leaves every bin's Frac at 0.
 func SpeedBin(speeds []float64, floors []float64) []Bin {
 	bins := make([]Bin, len(floors)+1)
 	bins[0] = Bin{MinSpeed: 0}
@@ -246,6 +247,9 @@ func SpeedBin(speeds []float64, floors []float64) []Bin {
 			}
 		}
 		bins[k].Count++
+	}
+	if len(speeds) == 0 {
+		return bins
 	}
 	for i := range bins {
 		bins[i].Frac = float64(bins[i].Count) / float64(len(speeds))

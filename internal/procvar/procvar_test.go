@@ -181,6 +181,33 @@ func TestSpeedBinProperty(t *testing.T) {
 	}
 }
 
+// TestEmptySampleIsZero: an empty or nil sample gives a zero report and
+// zero bin fractions, not NaN.
+func TestEmptySampleIsZero(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		speeds []float64
+	}{
+		{"nil", nil},
+		{"empty", []float64{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if r := Analyze(tc.speeds); r != (SpeedReport{}) {
+				t.Errorf("Analyze = %+v, want the zero report", r)
+			}
+			bins := SpeedBin(tc.speeds, []float64{0.9, 1.0})
+			if len(bins) != 3 {
+				t.Fatalf("got %d bins, want 3", len(bins))
+			}
+			for i, b := range bins {
+				if b.Count != 0 || b.Frac != 0 {
+					t.Errorf("bin %d = %+v, want Count 0 and Frac 0", i, b)
+				}
+			}
+		})
+	}
+}
+
 func TestTestedSpeedGainMatchesTypGain(t *testing.T) {
 	// Section 8.3: testing parts individually recovers 30-40%+ over the
 	// worst-case rating — by construction this equals the typical gain.

@@ -296,9 +296,6 @@ func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 		}
 		ans, err := h.pool.Serve(ctx, spec)
 		if err != nil {
-			if errors.Is(err, jobs.ErrBreakerOpen) {
-				h.setRetryAfter(w)
-			}
 			writeError(w, statusFor(err), err)
 			return
 		}
@@ -679,9 +676,9 @@ func validAddr(s string) bool {
 }
 
 // healthz serves GET /healthz. It degrades to 503 when the service can
-// accept work but should not be trusted with it: a circuit breaker is
-// open (a job kind is failing hard) or the journal is unwritable (jobs
-// would run without crash safety).
+// accept work but should not be trusted with it: the journal is
+// unwritable (jobs would run without crash safety) or the store holds
+// condemned records it cannot repair.
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":              "ok",
@@ -692,11 +689,6 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 		"journal_healthy":     h.pool.Journal().Healthy(),
 	}
 	status := http.StatusOK
-	if open, kinds := h.pool.BreakerOpen(); open {
-		body["status"] = "degraded"
-		body["breaker_open"] = kinds
-		status = http.StatusServiceUnavailable
-	}
 	if !h.pool.Journal().Healthy() {
 		body["status"] = "degraded"
 		status = http.StatusServiceUnavailable
@@ -764,7 +756,6 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 			cs["quarantined"] = s.Quarantined
 		}
 	}
-	snap["breakers"] = h.pool.BreakerStates()
 	snap["uptime_seconds"] = time.Since(h.start).Seconds()
 	// build_info lets a load generator stamp its report with the exact
 	// server build it measured (see cmd/gapload): a perf number without
@@ -785,8 +776,6 @@ func statusFor(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, jobs.ErrPeerUnavailable):
 		return http.StatusBadGateway
-	case errors.Is(err, jobs.ErrBreakerOpen):
-		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -798,14 +787,11 @@ func statusFor(err error) int {
 
 // writeAnswer writes a result answer: the stored bytes as the body under
 // the digest they were stored with, and this response's own facts —
-// provenance, attempts, elapsed time — as headers. Nothing is encoded
+// provenance, elapsed time — as headers. Nothing is encoded
 // or hashed here.
 func writeAnswer(w http.ResponseWriter, a jobs.Answer, start time.Time) {
 	hdr := w.Header()
 	hdr.Set(cluster.ServedByHeader, string(a.By))
-	if a.Attempts > 0 {
-		hdr.Set(cluster.AttemptsHeader, strconv.Itoa(a.Attempts))
-	}
 	hdr.Set(cluster.ElapsedHeader, strconv.FormatFloat(float64(time.Since(start))/float64(time.Millisecond), 'f', 3, 64))
 	writeStored(w, a.Stored)
 }

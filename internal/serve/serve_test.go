@@ -368,7 +368,7 @@ func stallServer(t *testing.T, workers int, d time.Duration, opt Options) *httpt
 		Seed: 1, StallRate: 1, Latency: d, Match: "pool/",
 	})
 	opt.Pool = jobs.NewPool(jobs.Options{
-		Workers: workers, MaxAttempts: 1, BreakerThreshold: -1, Injector: in,
+		Workers: workers, Injector: in,
 	})
 	srv := httptest.NewServer(NewHandler(opt))
 	t.Cleanup(srv.Close)
@@ -436,9 +436,8 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 		Jobs struct {
 			Shed int64 `json:"shed"`
 		} `json:"jobs"`
-		QueueDepth      int64          `json:"queue_depth"`
-		PendingRequests int64          `json:"pending_requests"`
-		Breakers        map[string]any `json:"breakers"`
+		QueueDepth      int64 `json:"queue_depth"`
+		PendingRequests int64 `json:"pending_requests"`
 	}
 	getJSON(t, srv.URL+"/metrics", &metrics)
 	if metrics.Jobs.Shed != int64(shed) {
@@ -447,9 +446,6 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	if metrics.PendingRequests != 0 || metrics.QueueDepth != 0 {
 		t.Errorf("admission state leaked: pending=%d queued=%d",
 			metrics.PendingRequests, metrics.QueueDepth)
-	}
-	if metrics.Breakers == nil {
-		t.Error("metrics missing breaker states")
 	}
 }
 
@@ -496,51 +492,6 @@ func TestPerClientCap(t *testing.T) {
 	}
 }
 
-// TestHealthzDegradesWhenBreakerOpen: a tripped breaker turns /healthz
-// into 503 "degraded" naming the open kind, and open-breaker rejections
-// carry Retry-After.
-func TestHealthzDegradesWhenBreakerOpen(t *testing.T) {
-	in := faultinject.New(faultinject.Plan{Seed: 1, ErrorRate: 1, Match: "pool/"})
-	pool := jobs.NewPool(jobs.Options{
-		Workers: 1, MaxAttempts: 1, BreakerThreshold: 2, Injector: in,
-	})
-	srv := httptest.NewServer(NewHandler(Options{Pool: pool}))
-	defer srv.Close()
-
-	// Two failing jobs trip the evaluate breaker.
-	for i := 0; i < 2; i++ {
-		body := fmt.Sprintf(
-			`{"design":{"name":"datapath","width":8,"depth":2},"seed":%d}`, i)
-		resp, _ := postJSON(t, srv.URL+"/v1/evaluate", body)
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("failing job status = %d", resp.StatusCode)
-		}
-	}
-
-	var h map[string]any
-	resp := getJSON(t, srv.URL+"/healthz", &h)
-	if resp.StatusCode != http.StatusServiceUnavailable || h["status"] != "degraded" {
-		t.Fatalf("healthz with open breaker = %d %v", resp.StatusCode, h)
-	}
-	if open, ok := h["breaker_open"].([]any); !ok || len(open) != 1 || open[0] != "evaluate" {
-		t.Errorf("breaker_open = %v", h["breaker_open"])
-	}
-
-	// Submissions of the broken kind short-circuit with 503 + Retry-After.
-	resp2, err := http.Post(srv.URL+"/v1/evaluate", "application/json",
-		strings.NewReader(`{"design":{"name":"datapath","width":8,"depth":2},"seed":99}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("open-breaker submit = %d", resp2.StatusCode)
-	}
-	if resp2.Header.Get("Retry-After") == "" {
-		t.Error("open-breaker rejection missing Retry-After")
-	}
-}
-
 // TestHealthzDegradesWhenJournalUnwritable: losing journal durability
 // flips /healthz to 503 while jobs keep being served.
 func TestHealthzDegradesWhenJournalUnwritable(t *testing.T) {
@@ -579,7 +530,7 @@ func TestHealthzDegradesWhenJournalUnwritable(t *testing.T) {
 	}
 }
 
-// TestMetricsExposesRobustnessCounters: the retry/shed/breaker/journal
+// TestMetricsExposesRobustnessCounters: the shed/watchdog/journal
 // counter families are all present in /metrics even at zero.
 func TestMetricsExposesRobustnessCounters(t *testing.T) {
 	srv, _ := newTestServer(t)
@@ -589,18 +540,9 @@ func TestMetricsExposesRobustnessCounters(t *testing.T) {
 	if !ok {
 		t.Fatalf("metrics jobs block: %v", snap["jobs"])
 	}
-	for _, key := range []string{"retried", "shed", "abandoned"} {
+	for _, key := range []string{"shed", "abandoned"} {
 		if _, ok := jobsBlock[key]; !ok {
 			t.Errorf("jobs.%s missing from /metrics", key)
-		}
-	}
-	breaker, ok := snap["breaker"].(map[string]any)
-	if !ok {
-		t.Fatalf("metrics breaker block: %v", snap["breaker"])
-	}
-	for _, key := range []string{"trips", "short_circuits"} {
-		if _, ok := breaker[key]; !ok {
-			t.Errorf("breaker.%s missing from /metrics", key)
 		}
 	}
 	journal, ok := snap["journal"].(map[string]any)
@@ -614,7 +556,7 @@ func TestMetricsExposesRobustnessCounters(t *testing.T) {
 		}
 	}
 	for _, key := range []string{"queue_depth", "inflight", "abandoned_in_flight",
-		"pending_requests", "breakers"} {
+		"pending_requests"} {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("%s missing from /metrics", key)
 		}

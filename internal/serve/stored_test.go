@@ -218,9 +218,9 @@ func TestAnswersAreStoredBytes(t *testing.T) {
 	h := NewHandler(Options{Pool: jobs.NewPool(jobs.Options{Workers: 2, Store: store})})
 
 	type answer struct {
-		by, attempts string
-		body         []byte
-		digest       string
+		by     string
+		body   []byte
+		digest string
 	}
 	get := func(rec *httptest.ResponseRecorder) answer {
 		t.Helper()
@@ -230,19 +230,18 @@ func TestAnswersAreStoredBytes(t *testing.T) {
 		if rec.Header().Get(cluster.ElapsedHeader) == "" {
 			t.Errorf("answer without %s", cluster.ElapsedHeader)
 		}
-		return answer{rec.Header().Get(cluster.ServedByHeader), rec.Header().Get(cluster.AttemptsHeader),
-			rec.Body.Bytes(), rec.Header().Get(cluster.DigestHeader)}
+		return answer{rec.Header().Get(cluster.ServedByHeader), rec.Body.Bytes(), rec.Header().Get(cluster.DigestHeader)}
 	}
 	computed := get(post(h, spec))
-	if computed.by != "compute" || computed.attempts != "1" {
-		t.Errorf("first answer served by %q after %q attempts, want compute after 1", computed.by, computed.attempts)
+	if computed.by != "compute" {
+		t.Errorf("first answer served by %q, want compute", computed.by)
 	}
 	if computed.digest != sha256Hex(computed.body) {
 		t.Fatal("digest header does not hash the body")
 	}
 	ram := get(post(h, spec))
-	if ram.by != "ram" || ram.attempts != "" {
-		t.Errorf("second answer served by %q (attempts %q), want ram", ram.by, ram.attempts)
+	if ram.by != "ram" {
+		t.Errorf("second answer served by %q, want ram", ram.by)
 	}
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/results/"+spec.Hash(), nil)
@@ -274,8 +273,8 @@ func TestAnswersAreStoredBytes(t *testing.T) {
 }
 
 // TestJoinStampsJoin: a request that arrives while an identical compute
-// is in flight waits for it and is stamped join, with the attempts of
-// the compute it joined, and gets the computed bytes.
+// is in flight waits for it and is stamped join, and gets the computed
+// bytes.
 func TestJoinStampsJoin(t *testing.T) {
 	spec := jobs.Spec{Kind: jobs.KindEvaluate, Design: jobs.DesignSpec{Name: "datapath", Width: 8, Depth: 2}, Seed: 9}
 	// Every pool attempt sleeps 300ms at its seam, holding the compute in
@@ -294,14 +293,14 @@ func TestJoinStampsJoin(t *testing.T) {
 	joined := post(h, spec)
 	computed := <-first
 	for _, c := range []struct {
-		rec          *httptest.ResponseRecorder
-		by, attempts string
-	}{{computed, "compute", "1"}, {joined, "join", "1"}} {
+		rec *httptest.ResponseRecorder
+		by  string
+	}{{computed, "compute"}, {joined, "join"}} {
 		if c.rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", c.rec.Code, c.rec.Body)
 		}
-		if by, n := c.rec.Header().Get(cluster.ServedByHeader), c.rec.Header().Get(cluster.AttemptsHeader); by != c.by || n != c.attempts {
-			t.Errorf("served by %q after %q attempts, want %s after %s", by, n, c.by, c.attempts)
+		if by := c.rec.Header().Get(cluster.ServedByHeader); by != c.by {
+			t.Errorf("served by %q, want %s", by, c.by)
 		}
 	}
 	if !bytes.Equal(joined.Body.Bytes(), computed.Body.Bytes()) {
