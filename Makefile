@@ -145,12 +145,15 @@ soak-cas:
 # structural-Verilog reader, job-spec canonicalization, the peer
 # response decoder (every byte a peer sends crosses it), the CAS
 # segment-record decoder (every byte the boot scan and compaction read
-# crosses it), and the scrubber's per-record verdict (which must detect
-# every single-bit flip of a valid record and never panic on garbage).
+# crosses it), the scrubber's per-record verdict (which must detect
+# every single-bit flip of a valid record and never panic on garbage),
+# and journal replay (every byte of a journal left by a crash crosses it
+# at boot; each job it names must land in exactly one class).
 # CI-sized; raise -fuzztime for a real hunt.
 fuzz:
 	$(GO) test ./internal/netlist/ -run '^$$' -fuzz FuzzReadVerilog -fuzztime 30s
 	$(GO) test ./internal/jobs/ -run '^$$' -fuzz FuzzJobSpecCanonical -fuzztime 30s
+	$(GO) test ./internal/jobs/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzPeerResponseDecode -fuzztime 30s
 	$(GO) test ./internal/cas/ -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 30s
 	$(GO) test ./internal/cas/ -run '^$$' -fuzz FuzzScrubRecord -fuzztime 30s

@@ -15,21 +15,24 @@
 //	     [-antientropy-interval 30s] [-gossip-interval 250ms]
 //	     [-gossip-seed N] [-version]
 //
-// With -journal, every accepted job is written ahead to an fsynced JSONL
-// log in DIR; on boot the journal is replayed — completed results re-warm
-// the cache, jobs interrupted by a crash are re-executed — before the
-// server starts listening. SIGHUP compacts the journal on demand. The
-// server drains in-flight jobs and exits cleanly on SIGINT/SIGTERM,
-// syncing the journal and logging the count of jobs still in flight when
-// the drain deadline expires.
+// With -journal, DIR holds an fsynced JSONL intent log: every accepted
+// job is written ahead, and every finished one is closed by a slim
+// "stored" pointer or a terminal "fail" record. The journal never holds
+// a result. On boot it is replayed before the server starts listening:
+// jobs interrupted by a crash are re-executed, and stored pointers
+// re-warm the cache from the -store-dir store. Without a store, finished
+// results are not warmed and recompute on demand, byte-identical.
+// SIGHUP compacts the journal on demand. The server drains in-flight
+// jobs and exits cleanly on SIGINT/SIGTERM, syncing the journal and
+// logging the count of jobs still in flight when the drain deadline
+// expires.
 //
-// With -store-dir, completed results also persist to a content-addressed
-// segment store (internal/cas): the RAM cache becomes a promotion tier
-// over the disk tier, cache misses consult the store before recomputing,
-// and a warm restart rebuilds the full result corpus by scanning the
-// segment index — no recompute, regardless of cache size. The journal
-// then records slim "stored" pointers instead of full result bodies.
-// -store-segment-bytes sets the rolling-segment size; -store-max-bytes
+// With -store-dir, completed results persist to a content-addressed
+// segment store (internal/cas), the only place a result is durable: the
+// RAM cache becomes a promotion tier over the disk tier, cache misses
+// consult the store before recomputing, and a warm restart rebuilds the
+// full result corpus by scanning the segment index — no recompute,
+// regardless of cache size. -store-segment-bytes sets the rolling-segment size; -store-max-bytes
 // budgets the store (compaction evicts the coldest records past it;
 // 0 = unlimited).
 //
@@ -98,7 +101,7 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job wall-clock limit")
 	reqTimeout := flag.Duration("request-timeout", 5*time.Minute, "per-request wait limit")
 	maxBody := flag.Int64("max-body", 1<<20, "request body limit in bytes")
-	journalDir := flag.String("journal", "", "crash-safe job journal directory (empty disables)")
+	journalDir := flag.String("journal", "", "crash-safe job intent log directory: interrupted jobs re-run at boot (empty disables)")
 	storeDir := flag.String("store-dir", "", "content-addressed result store directory: disk tier under the RAM cache (empty disables)")
 	storeSegBytes := flag.Int64("store-segment-bytes", 0, "store rolling-segment size in bytes (0 = 64 MiB)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "store live-byte budget; compaction evicts the coldest records past it (0 = unlimited)")
@@ -203,19 +206,19 @@ func main() {
 		}()
 	}
 
-	// Replay the journal before listening: completed results re-warm the
-	// cache, interrupted jobs re-execute, and the journal compacts to
-	// the surviving state — so a kill-and-restart converges to the same
-	// results the uninterrupted run would have served.
+	// Replay the journal before listening: stored results re-warm the
+	// cache from the store, interrupted jobs re-execute, and the journal
+	// compacts to the surviving state — so a kill-and-restart converges
+	// to the same results the uninterrupted run would have served.
 	if journal != nil {
 		stats, err := jobs.RecoverFromJournal(ctx, pool, *journalDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "gapd: journal recovery: %v\n", err)
 			os.Exit(1)
 		}
-		if stats.WarmedCache+stats.WarmedStore+stats.Resubmitted+stats.SkippedTerminal+stats.ReplaysExhausted > 0 || stats.Truncated {
-			log.Printf("gapd: journal replay: %d results re-warmed, %d resolved from the store, %d interrupted jobs re-run (%d failed again), %d terminal failures skipped, %d poison jobs failed terminally, truncated=%v",
-				stats.WarmedCache, stats.WarmedStore, stats.Resubmitted, stats.FailedReplays,
+		if stats.WarmedStore+stats.Resubmitted+stats.SkippedTerminal+stats.ReplaysExhausted > 0 || stats.Truncated {
+			log.Printf("gapd: journal replay: %d results re-warmed from the store, %d interrupted jobs re-run (%d failed again), %d terminal failures skipped, %d poison jobs failed terminally, truncated=%v",
+				stats.WarmedStore, stats.Resubmitted, stats.FailedReplays,
 				stats.SkippedTerminal, stats.ReplaysExhausted, stats.Truncated)
 		}
 	}
@@ -235,8 +238,8 @@ func main() {
 				log.Printf("gapd: SIGHUP compaction failed: %v", err)
 				continue
 			}
-			log.Printf("gapd: SIGHUP compaction: %d -> %d bytes (%d done kept, %d pending kept, %d failed dropped)",
-				st.BeforeBytes, st.AfterBytes, st.Completed, st.PendingKept, st.DroppedFailed)
+			log.Printf("gapd: SIGHUP compaction: %d -> %d bytes (%d stored kept, %d pending kept, %d failed dropped)",
+				st.BeforeBytes, st.AfterBytes, st.StoredKept, st.PendingKept, st.DroppedFailed)
 		}
 	}()
 

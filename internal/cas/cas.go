@@ -124,7 +124,7 @@ type Store struct {
 	scrubStarted bool
 
 	scrubVerified  atomic.Int64
-	scrubCorrupt   atomic.Int64
+	scrubCorrupt   atomic.Int64 // records background verification condemned (scrub step or compaction rewrite)
 	scrubPasses    atomic.Int64
 	scrubRepaired  atomic.Int64
 	scrubCursorSeg atomic.Int64 // Stats mirror of scrubCursor
@@ -550,23 +550,29 @@ func (s *Store) Sketch() *Sketch { return s.sketch }
 // marking the record's bytes dead and quarantining the address: the
 // entry stays in the scrub report until a verified copy is re-Put (by
 // read-repair or recompute), which clears it and counts scrub_repaired.
-func (s *Store) dropCorrupt(addr string, loc recordLoc, reason error) {
+// It reports whether it condemned the record, so the two verifying
+// walks that can race to the same rotten record — a scrub step and the
+// compaction rewrite a scrub step triggers — count it once between them.
+func (s *Store) dropCorrupt(addr string, loc recordLoc, reason error) bool {
 	s.mu.Lock()
-	if cur, ok := s.index[addr]; ok && cur == loc {
-		delete(s.index, addr)
-		s.segs[loc.seg].live -= loc.size
-		s.liveBytes -= loc.size
-		s.deadBytes += loc.size
-		s.corruptDropped.Add(1)
-		why := "unknown"
-		if reason != nil {
-			why = reason.Error()
-		}
-		s.quarantine[addr] = QuarantineEntry{
-			Addr: addr, Segment: loc.seg, Offset: loc.off, Reason: why,
-		}
+	defer s.mu.Unlock()
+	cur, ok := s.index[addr]
+	if !ok || cur != loc {
+		return false
 	}
-	s.mu.Unlock()
+	delete(s.index, addr)
+	s.segs[loc.seg].live -= loc.size
+	s.liveBytes -= loc.size
+	s.deadBytes += loc.size
+	s.corruptDropped.Add(1)
+	why := "unknown"
+	if reason != nil {
+		why = reason.Error()
+	}
+	s.quarantine[addr] = QuarantineEntry{
+		Addr: addr, Segment: loc.seg, Offset: loc.off, Reason: why,
+	}
+	return true
 }
 
 // Stats snapshots the store.

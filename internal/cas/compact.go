@@ -206,15 +206,21 @@ func (s *Store) compact() (CompactStats, error) {
 		if !ok || cur != lr.loc || seg == nil {
 			continue // overwritten or dropped mid-pass; nothing to carry
 		}
+		// A record this rewrite condemns is a scrub verdict too: the
+		// scrub step that triggered this pass may not have reached it
+		// yet, and it must not go uncounted for losing that race.
 		buf := make([]byte, lr.loc.size)
-		if _, err := seg.r.ReadAt(buf, lr.loc.off); err != nil {
-			st.DroppedCorrupt++
-			s.dropCorrupt(lr.addr, lr.loc, fmt.Errorf("cas: compact read: %w", err))
-			continue
+		var err error
+		if _, rerr := seg.r.ReadAt(buf, lr.loc.off); rerr != nil {
+			err = fmt.Errorf("cas: compact read: %w", rerr)
+		} else {
+			err = VerifyRecord(buf, lr.addr)
 		}
-		if err := VerifyRecord(buf, lr.addr); err != nil {
+		if err != nil {
 			st.DroppedCorrupt++
-			s.dropCorrupt(lr.addr, lr.loc, err)
+			if s.dropCorrupt(lr.addr, lr.loc, err) {
+				s.scrubCorrupt.Add(1)
+			}
 			continue
 		}
 		if out == nil || out.size+int64(len(buf)) > s.opt.SegmentBytes {

@@ -188,8 +188,9 @@ func (s *Store) ScrubStep(maxRecords int) ScrubProgress {
 				return pr
 			}
 			pr.Corrupt++
-			s.scrubCorrupt.Add(1)
-			s.dropCorrupt(t.addr, t.loc, err)
+			if s.dropCorrupt(t.addr, t.loc, err) {
+				s.scrubCorrupt.Add(1)
+			}
 		} else {
 			s.scrubVerified.Add(1)
 		}

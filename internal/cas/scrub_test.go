@@ -244,3 +244,38 @@ func TestGetEClassifiesCorruptVsAbsent(t *testing.T) {
 		t.Fatalf("second read: got %v, want ErrNotFound", err)
 	}
 }
+
+// TestCompactionVerdictCountsAsScrub pins the ordering a scrub step's
+// own background compaction can take: the compaction rewrite reaches a
+// rotten record before the scrubber does. The record is condemned once,
+// by whichever walk gets there first, and scrub_corrupt counts it either
+// way — the drill in internal/cluster asserts scrub_corrupt against the
+// injected fault count, which flaked when compaction won that race.
+func TestCompactionVerdictCountsAsScrub(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{CompactDeadFrac: -1, ScrubSeed: 1})
+	const n = 12
+	for i := 0; i < n; i++ {
+		label := fmt.Sprintf("cv-%d", i)
+		if err := s.Put(testAddr(label), testBody(label)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corruptOnDisk(t, s, testAddr("cv-2"), headerSize+1)
+	corruptOnDisk(t, s, testAddr("cv-9"), 5)
+
+	// Compaction first, as when the scrub-triggered pass wins the race.
+	st, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DroppedCorrupt != 2 {
+		t.Fatalf("compaction dropped %d corrupt records, want 2", st.DroppedCorrupt)
+	}
+	scrubFullPass(t, s, 4)
+	scrubFullPass(t, s, 4)
+	got := s.Stats()
+	if got.ScrubCorrupt != 2 || got.Quarantined != 2 || got.CorruptDropped != 2 {
+		t.Errorf("scrub_corrupt %d, quarantined %d, corrupt_dropped %d; want 2 each",
+			got.ScrubCorrupt, got.Quarantined, got.CorruptDropped)
+	}
+}

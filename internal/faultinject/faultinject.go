@@ -147,7 +147,7 @@ func (in *Injector) Decide(key string) Kind {
 	if in.plan.Match != "" && !strings.Contains(key, in.plan.Match) {
 		return None
 	}
-	u := in.uniform(key)
+	u := Uniform(in.plan.Seed, key)
 	for _, step := range []struct {
 		rate float64
 		kind Kind
@@ -167,19 +167,20 @@ func (in *Injector) Decide(key string) Kind {
 	return None
 }
 
-// uniform hashes (seed, key) into [0,1).
-func (in *Injector) uniform(key string) float64 {
+// Uniform hashes (seed, key) into [0,1): the seeded site-key draw every
+// fault decision rests on, here and in internal/netfault. FNV-1a over the
+// seed's little-endian bytes and the key, then a splitmix64 finalizer —
+// FNV alone is too regular over near-identical keys — before taking 53
+// bits for the double.
+func Uniform(seed int64, key string) float64 {
 	h := fnv.New64a()
-	var seed [8]byte
-	s := uint64(in.plan.Seed)
-	for i := range seed {
-		seed[i] = byte(s >> (8 * i))
+	var b [8]byte
+	s := uint64(seed)
+	for i := range b {
+		b[i] = byte(s >> (8 * i))
 	}
-	h.Write(seed[:])
+	h.Write(b[:])
 	h.Write([]byte(key))
-	// FNV alone is too regular over near-identical keys; run the sum
-	// through a splitmix64 finalizer before taking 53 bits for the
-	// double in [0,1).
 	x := h.Sum64()
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -293,9 +293,9 @@ func TestWatchdogReclaimsWedgedJob(t *testing.T) {
 // TestKillAndRestartRecovery is the crash-safety acceptance test: a
 // batch is interrupted by injected process kills (jobs journaled as
 // accepted, no terminal record — the crash signature), a second pool
-// replays the journal, and the recovered results are byte-identical to
-// an uninterrupted run with completed work served from the warmed cache
-// and only the killed jobs re-executed.
+// replays the journal over the same CAS store, and the recovered results
+// are byte-identical to an uninterrupted run with completed work served
+// from the warmed cache and only the killed jobs re-executed.
 func TestKillAndRestartRecovery(t *testing.T) {
 	specs := chaosBatch()
 	ref := serialReference(t, specs)
@@ -304,16 +304,18 @@ func TestKillAndRestartRecovery(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
+			storeDir := t.TempDir()
 			j1, err := OpenJournal(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
+			s1 := openTestStore(t, storeDir)
 			in := faultinject.New(faultinject.Plan{
 				Seed: seed, KillRate: 0.5, Match: "pool/",
 			})
 			p1 := NewPool(Options{
 				Workers: 2,
-				Journal: j1, Injector: in,
+				Journal: j1, Store: s1, Injector: in,
 			})
 			killed := 0
 			for _, s := range specs {
@@ -328,21 +330,24 @@ func TestKillAndRestartRecovery(t *testing.T) {
 				t.Fatalf("kill schedule degenerate: %d/%d killed (adjust seed matrix)",
 					killed, len(specs))
 			}
+			s1.Close()
 			j1.Close() // the "process" dies
 
-			// Restart: fresh journal handle, fresh pool, replay.
+			// Restart: fresh journal handle, store and pool, replay.
 			j2, err := OpenJournal(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer j2.Close()
-			p2 := NewPool(Options{Workers: 2, Journal: j2})
+			s2 := openTestStore(t, storeDir)
+			defer s2.Close()
+			p2 := NewPool(Options{Workers: 2, Journal: j2, Store: s2})
 			stats, err := RecoverFromJournal(context.Background(), p2, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stats.WarmedCache != len(specs)-killed {
-				t.Errorf("warmed = %d, want %d", stats.WarmedCache, len(specs)-killed)
+			if stats.WarmedStore != len(specs)-killed {
+				t.Errorf("warmed = %d, want %d", stats.WarmedStore, len(specs)-killed)
 			}
 			if stats.Resubmitted != killed || stats.FailedReplays != 0 {
 				t.Errorf("resubmitted = %d (failed %d), want %d",
@@ -379,10 +384,92 @@ func TestKillAndRestartRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.Pending) != 0 || len(rep.Completed) != len(specs) {
+			if len(rep.Pending) != 0 || len(rep.StoredIDs) != len(specs) {
 				t.Errorf("post-recovery journal: %d pending, %d completed",
-					len(rep.Pending), len(rep.Completed))
+					len(rep.Pending), len(rep.StoredIDs))
 			}
 		})
+	}
+}
+
+// TestKillAndRestartJournalOnly: without a store the journal is an
+// intent log and nothing more. A batch is interrupted by injected kills,
+// a second pool replays the journal, and recovery re-runs exactly the
+// killed jobs; the jobs that had finished are not warmed (no result body
+// was ever durable) and recompute on demand. Every answer is
+// byte-identical to the uninterrupted reference either way.
+func TestKillAndRestartJournalOnly(t *testing.T) {
+	specs := chaosBatch()
+	ref := serialReference(t, specs)
+
+	dir := t.TempDir()
+	j1, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := faultinject.New(faultinject.Plan{Seed: 1, KillRate: 0.5, Match: "pool/"})
+	p1 := NewPool(Options{Workers: 2, Journal: j1, Injector: in})
+	killed := map[string]bool{}
+	for _, s := range specs {
+		if _, err := p1.Do(context.Background(), s); err != nil {
+			if !errors.Is(err, ErrKilled) {
+				t.Fatalf("unexpected failure: %v", err)
+			}
+			killed[s.Hash()] = true
+		}
+	}
+	if len(killed) == 0 || len(killed) == len(specs) {
+		t.Fatalf("kill schedule degenerate: %d/%d killed", len(killed), len(specs))
+	}
+	j1.Close() // the "process" dies
+
+	j2, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	p2 := NewPool(Options{Workers: 2, Journal: j2})
+	stats, err := RecoverFromJournal(context.Background(), p2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Resubmitted != len(killed) || stats.FailedReplays != 0 || stats.WarmedStore != 0 {
+		t.Errorf("recovery: resubmitted %d (failed %d), warmed %d; want %d, 0, 0",
+			stats.Resubmitted, stats.FailedReplays, stats.WarmedStore, len(killed))
+	}
+	if got := p2.Metrics().JobsStarted.Load(); got != int64(len(killed)) {
+		t.Errorf("restart ran %d jobs, want the %d killed", got, len(killed))
+	}
+	// Nothing survives compaction: no pending work, and no pointer, since
+	// without a store a pointer would point at nothing.
+	rep, err := ReplayJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Pending)+len(rep.StoredIDs)+rep.Failed != 0 {
+		t.Errorf("post-recovery journal: %d pending, %d stored, %d failed; want empty",
+			len(rep.Pending), len(rep.StoredIDs), rep.Failed)
+	}
+
+	// The killed jobs re-ran at boot and serve from RAM; the rest
+	// recompute now. Both are byte-identical to the reference.
+	for i, s := range specs {
+		a, err := p2.Serve(context.Background(), s)
+		if err != nil {
+			t.Fatalf("spec %d after recovery: %v", i, err)
+		}
+		want := ServedCompute
+		if killed[s.Hash()] {
+			want = ServedRAM
+		}
+		if a.By != want {
+			t.Errorf("spec %d served by %s, want %s", i, a.By, want)
+		}
+		if !bytes.Equal(a.Body, ref[a.ID]) {
+			t.Errorf("spec %d (%s): result differs from uninterrupted run", i, s.Kind)
+		}
+	}
+	if got := p2.Metrics().JobsStarted.Load(); got != int64(len(specs)) {
+		t.Errorf("jobs started = %d, want %d (each spec computed once after the crash)", got, len(specs))
 	}
 }

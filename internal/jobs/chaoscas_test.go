@@ -153,9 +153,9 @@ func TestChaosCASColdRestartZeroRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.StoredIDs) != len(specs) || len(rep.Completed) != 0 || len(rep.Pending) != 0 {
-		t.Errorf("post-recovery journal: %d stored, %d full done, %d pending; want %d/0/0",
-			len(rep.StoredIDs), len(rep.Completed), len(rep.Pending), len(specs))
+	if len(rep.StoredIDs) != len(specs) || len(rep.Pending) != 0 {
+		t.Errorf("post-recovery journal: %d stored, %d pending; want %d/0",
+			len(rep.StoredIDs), len(rep.Pending), len(specs))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,25 +18,24 @@ import (
 // journalFile is the segment name inside the journal directory.
 const journalFile = "journal.jsonl"
 
-// JournalRecord is one line of the append-only job journal: a write-ahead
-// log of accepted and finished jobs. "accept" records carry the full
-// canonical spec and are fsynced before the job runs, so a crash between
-// accept and done leaves enough on disk to re-run the job; "done"
-// records carry the full result, so replay re-warms the cache without
-// recomputing anything; "fail" records close out jobs whose failure was
-// terminal (spec errors, exhausted retries) so replay does not chase
-// them forever. "stored" records are slim terminal pointers written
-// when the result body is durable in the CAS store instead: the journal
-// then carries only the content address, and replay resolves the body
-// from the store's own index.
+// JournalRecord is one line of the append-only job journal: an intent
+// log that says which jobs were accepted and how each ended, never what
+// one computed. "accept" records carry the full canonical spec and are
+// fsynced before the job runs, so a crash before the job's outcome
+// leaves enough on disk to re-run it. "stored" records are slim pointers
+// written once the result is durable — after the CAS put, or at once
+// when no store is attached — so replay neither re-runs the job nor
+// looks for its body anywhere but the store. "fail" records, fsynced,
+// close out jobs whose failure was terminal so replay does not chase
+// them forever. Any other op, such as the "done" lines that older
+// journals wrote with a full result, is ignored.
 type JournalRecord struct {
-	Op     string  `json:"op"` // accept | done | fail | stored
-	ID     string  `json:"id"`
-	Spec   *Spec   `json:"spec,omitempty"`
-	Result *Result `json:"result,omitempty"`
-	Error  string  `json:"error,omitempty"`
-	Class  Class   `json:"class,omitempty"`
-	T      string  `json:"t,omitempty"` // RFC3339Nano append time
+	Op    string `json:"op"` // accept | stored | fail
+	ID    string `json:"id"`
+	Spec  *Spec  `json:"spec,omitempty"`
+	Error string `json:"error,omitempty"`
+	Class Class  `json:"class,omitempty"`
+	T     string `json:"t,omitempty"` // RFC3339Nano append time
 }
 
 // Journal is the crash-safe job log. All methods are safe for concurrent
@@ -67,7 +67,10 @@ func OpenJournal(dir string) (*Journal, error) {
 }
 
 // Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
+func (j *Journal) Dir() string {
+	//gaplint:allow lockdiscipline — dir is set once by OpenJournal and never written again
+	return j.dir
+}
 
 // Healthy reports whether the last journal write succeeded. The HTTP
 // layer degrades /healthz to 503 when this goes false.
@@ -84,23 +87,20 @@ func (j *Journal) Accept(id string, spec Spec) error {
 	return j.append(JournalRecord{Op: "accept", ID: id, Spec: &spec}, true)
 }
 
-// Done journals a completed job with its full result, fsynced, so a
-// restart can re-warm the cache entry instead of recomputing.
-func (j *Journal) Done(id string, res *Result) error {
-	return j.append(JournalRecord{Op: "done", ID: id, Result: res}, true)
-}
-
-// Stored journals that a job's result is durable in the CAS store — a
-// pointer, not a body. Unsynced by design: the CAS record it references
-// already hit disk (the store group-commits its fsyncs), and recovery
-// consults the store before re-running any pending accept, so a lost
-// stored line is re-derived from the store index, never recomputed.
+// Stored journals that a job's result is durable — a pointer, not a
+// body. With a store attached it is written only after the CAS put
+// succeeded; without one it is written at once and only closes the
+// accept. Unsynced by design: the CAS record it references already hit
+// disk (the store group-commits its fsyncs), and recovery consults the
+// store before re-running any pending accept, so a lost stored line is
+// re-derived from the store index, never recomputed. Without a store, a
+// lost line costs one re-run at the next boot.
 func (j *Journal) Stored(id string) error {
 	return j.append(JournalRecord{Op: "stored", ID: id}, false)
 }
 
 // Fail journals a terminal failure so replay does not resubmit a job
-// that can never succeed (spec errors) or already burned its retries.
+// that can never succeed (spec errors) or already failed its attempt.
 func (j *Journal) Fail(id string, msg string, class Class) error {
 	return j.append(JournalRecord{Op: "fail", ID: id, Error: msg, Class: class}, true)
 }
@@ -178,7 +178,8 @@ func (j *Journal) Close() error {
 // terminal failure and moves on.
 const MaxReplayGenerations = 3
 
-// Replayed is what a journal replay recovered.
+// Replayed is what a journal replay recovered. Every job the journal
+// names lands in exactly one class: pending, stored or failed.
 type Replayed struct {
 	// Pending are accepted jobs with no terminal record — work a crash
 	// interrupted, in acceptance order.
@@ -190,11 +191,9 @@ type Replayed struct {
 	// PendingIDs holds, parallel to Pending, the journaled job IDs
 	// (canonical spec hashes), so callers need not re-derive them.
 	PendingIDs []string
-	// Completed are finished results, newest record winning, in
-	// completion order; replaying them re-warms the cache.
-	Completed []*Result
-	// StoredIDs are jobs whose terminal record is a slim CAS pointer:
-	// the result body lives in the store, keyed by this content address.
+	// StoredIDs are jobs whose terminal record is a stored pointer: the
+	// result body, if any survives, lives in the CAS store under this
+	// content address.
 	StoredIDs []string
 	// Failed counts jobs whose terminal record was a failure.
 	Failed int
@@ -203,9 +202,17 @@ type Replayed struct {
 	Truncated bool
 }
 
+// maxJournalLine caps one journal line. Intent records are under a
+// kilobyte (a fail record's panic stack runs to a few); the generous cap
+// keeps old journals, whose done lines carried whole results, readable
+// up to the line that overflows it.
+const maxJournalLine = 16 << 20
+
 // ReplayJournal reads dir's journal and classifies every job it
 // mentions. It tolerates a truncated final line — the signature of a
 // crash during append — and an absent journal (nothing to recover).
+// Records it does not read (an old "done" line, an accept without a
+// spec) are skipped, so such a job's accept, if any, replays as pending.
 func ReplayJournal(dir string) (Replayed, error) {
 	var rep Replayed
 	f, err := os.Open(filepath.Join(dir, journalFile))
@@ -218,19 +225,16 @@ func ReplayJournal(dir string) (Replayed, error) {
 	defer f.Close()
 
 	type entry struct {
-		spec     *Spec
-		result   *Result
-		failed   bool
-		stored   bool
-		order    int
-		terminal bool
-		accepts  int
+		spec    *Spec
+		failed  bool
+		stored  bool
+		accepts int
 	}
 	byID := map[string]*entry{}
 	var order []string
 
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxJournalLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -244,9 +248,12 @@ func ReplayJournal(dir string) (Replayed, error) {
 			rep.Truncated = true
 			break
 		}
+		if rec.Op != "stored" && rec.Op != "fail" && (rec.Op != "accept" || rec.Spec == nil) {
+			continue // an old "done" line, an accept without a spec, an unknown op
+		}
 		e, ok := byID[rec.ID]
 		if !ok {
-			e = &entry{order: len(order)}
+			e = &entry{}
 			byID[rec.ID] = e
 			order = append(order, rec.ID)
 		}
@@ -254,17 +261,11 @@ func ReplayJournal(dir string) (Replayed, error) {
 		case "accept":
 			e.spec = rec.Spec
 			e.accepts++
-		case "done":
-			e.result = rec.Result
-			e.failed = false
-			e.terminal = true
 		case "stored":
 			e.stored = true
 			e.failed = false
-			e.terminal = true
 		case "fail":
 			e.failed = true
-			e.terminal = true
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -276,15 +277,12 @@ func ReplayJournal(dir string) (Replayed, error) {
 	}
 
 	for _, id := range order {
-		e := byID[id]
-		switch {
-		case e.terminal && e.failed:
+		switch e := byID[id]; {
+		case e.failed:
 			rep.Failed++
-		case e.terminal && e.result != nil:
-			rep.Completed = append(rep.Completed, e.result)
 		case e.stored:
 			rep.StoredIDs = append(rep.StoredIDs, id)
-		case e.spec != nil:
+		default: // only accepts, so the spec is set
 			rep.Pending = append(rep.Pending, *e.spec)
 			rep.PendingAccepts = append(rep.PendingAccepts, e.accepts)
 			rep.PendingIDs = append(rep.PendingIDs, id)
@@ -293,49 +291,21 @@ func ReplayJournal(dir string) (Replayed, error) {
 	return rep, nil
 }
 
-// FindResult scans the journal for the completed result with the given
-// content address — the durable backstop behind GET /v1/results/{id}
-// when the in-memory cache has evicted (or never held) the entry. The
-// newest done record wins, matching replay semantics. A missing or
-// unreadable journal simply reports not-found: result lookup is a
-// best-effort read path, never an error source.
-func (j *Journal) FindResult(id string) (*Result, bool) {
-	if j == nil {
-		return nil, false
-	}
-	rep, err := ReplayJournal(j.dir)
-	if err != nil {
-		return nil, false
-	}
-	for _, res := range rep.Completed {
-		if res != nil && res.ID == id {
-			return res, true
-		}
-	}
-	return nil, false
-}
-
-// Compact atomically rewrites the journal to hold only done records for
-// the given results plus slim stored pointers for results durable in
-// the CAS store, dropping the acceptance/failure history. Called after
-// a successful replay so the journal does not grow without bound across
-// restarts — with a store attached, the rewrite is mostly pointers.
-func (j *Journal) Compact(completed []*Result, storedIDs []string) error {
+// Compact atomically rewrites the journal to hold only stored pointers
+// for the given content addresses, dropping the accept and failure
+// history. Recovery calls it once every pending job has been settled,
+// so the journal does not grow without bound across restarts.
+func (j *Journal) Compact(storedIDs []string) error {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	now := time.Now().UTC().Format(time.RFC3339Nano)
-	lines, err := doneLines(completed, now)
+	lines, err := storedLines(storedIDs, time.Now().UTC().Format(time.RFC3339Nano))
 	if err != nil {
 		return err
 	}
-	stored, err := storedLines(storedIDs, now)
-	if err != nil {
-		return err
-	}
-	return j.rewriteLocked(append(lines, stored...))
+	return j.rewriteLocked(lines)
 }
 
 // storedLines marshals slim stored-pointer records.
@@ -343,19 +313,6 @@ func storedLines(ids []string, now string) ([][]byte, error) {
 	lines := make([][]byte, 0, len(ids))
 	for _, id := range ids {
 		line, err := json.Marshal(JournalRecord{Op: "stored", ID: id, T: now})
-		if err != nil {
-			return nil, fmt.Errorf("jobs: journal compact: %w", err)
-		}
-		lines = append(lines, line)
-	}
-	return lines, nil
-}
-
-// doneLines marshals done records for the completed results.
-func doneLines(completed []*Result, now string) ([][]byte, error) {
-	lines := make([][]byte, 0, len(completed))
-	for _, res := range completed {
-		line, err := json.Marshal(JournalRecord{Op: "done", ID: res.ID, Result: res, T: now})
 		if err != nil {
 			return nil, fmt.Errorf("jobs: journal compact: %w", err)
 		}
@@ -412,10 +369,7 @@ type CompactStats struct {
 	// rewrite.
 	BeforeBytes int64
 	AfterBytes  int64
-	// Completed counts done records kept (one per completed job, the
-	// newest result winning).
-	Completed int
-	// StoredKept counts slim CAS-pointer records carried through.
+	// StoredKept counts stored pointers carried through.
 	StoredKept int
 	// PendingKept counts in-flight jobs whose accept records were
 	// preserved — compacting a live journal must not orphan work a
@@ -427,11 +381,12 @@ type CompactStats struct {
 }
 
 // CompactNow compacts the live journal on demand (the SIGHUP path):
-// duplicate accepts, superseded done records, and terminal-failure
-// history collapse to one done record per completed job, while pending
-// jobs keep their accept records — repeated per replay generation, so
-// the poison-job crash-loop marker survives compaction. Appends are
-// blocked for the duration, giving the rewrite a consistent snapshot.
+// duplicate accepts, repeated stored pointers, and terminal-failure
+// history collapse to one stored pointer per finished job, while
+// pending jobs keep their accept records — repeated per replay
+// generation, so the poison-job crash-loop marker survives compaction.
+// Appends are blocked for the duration, giving the rewrite a consistent
+// snapshot.
 func (j *Journal) CompactNow() (CompactStats, error) {
 	if j == nil {
 		return CompactStats{}, nil
@@ -447,15 +402,10 @@ func (j *Journal) CompactNow() (CompactStats, error) {
 		return st, err
 	}
 	now := time.Now().UTC().Format(time.RFC3339Nano)
-	lines, err := doneLines(rep.Completed, now)
+	lines, err := storedLines(rep.StoredIDs, now)
 	if err != nil {
 		return st, err
 	}
-	stored, err := storedLines(rep.StoredIDs, now)
-	if err != nil {
-		return st, err
-	}
-	lines = append(lines, stored...)
 	for i := range rep.Pending {
 		spec := rep.Pending[i]
 		line, err := json.Marshal(JournalRecord{Op: "accept", ID: rep.PendingIDs[i], Spec: &spec, T: now})
@@ -466,7 +416,6 @@ func (j *Journal) CompactNow() (CompactStats, error) {
 			lines = append(lines, line)
 		}
 	}
-	st.Completed = len(rep.Completed)
 	st.StoredKept = len(rep.StoredIDs)
 	st.PendingKept = len(rep.Pending)
 	st.DroppedFailed = rep.Failed
@@ -481,8 +430,6 @@ func (j *Journal) CompactNow() (CompactStats, error) {
 
 // RecoverStats summarizes a boot-time journal recovery.
 type RecoverStats struct {
-	// WarmedCache counts completed results replayed into the cache.
-	WarmedCache int
 	// WarmedStore counts results resolved from the CAS store during
 	// recovery — stored pointers re-warmed and pending jobs whose
 	// bodies were already durable on disk (no recompute needed).
@@ -503,13 +450,15 @@ type RecoverStats struct {
 	Truncated bool
 }
 
-// RecoverFromJournal replays dir's journal into the pool: completed
-// results re-warm the result cache (no recomputation), pending jobs —
-// accepted before a crash but never finished — are re-executed through
-// the pool, and the journal is compacted to the surviving state.
-// Results recovered this way are exact: the cache entry a replay warms
-// is byte-for-byte the entry the original run produced, and re-executed
-// jobs recompute from the same canonical spec.
+// RecoverFromJournal replays dir's journal into the pool: stored
+// pointers re-warm the cache from the CAS store (a read, no
+// recomputation), pending jobs — accepted before a crash but never
+// finished — are re-executed through the pool, and the journal is
+// compacted to the surviving state. The journal holds no result bodies:
+// without a store, recovery only re-runs interrupted jobs, and finished
+// results recompute on demand. Either way the answers are exact — a
+// warmed entry is the bytes the original run stored, and a recompute
+// runs the same canonical spec.
 func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats, error) {
 	var stats RecoverStats
 	rep, err := ReplayJournal(dir)
@@ -518,23 +467,10 @@ func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats,
 	}
 	stats.Truncated = rep.Truncated
 	stats.SkippedTerminal = rep.Failed
-	// Done records are decoded results; encoding them here is also what
-	// drops any per-response fields an older journal wrote into them.
-	var warmed []*Stored
-	for _, res := range rep.Completed {
-		st, err := Encode(res)
-		if err != nil {
-			continue // not servable; the job recomputes on next demand
-		}
-		p.Cache().Put(st.ID, st)
-		warmed = append(warmed, st)
-		p.metrics.JournalReplayedDone.Add(1)
-		stats.WarmedCache++
-	}
 	// Stored pointers resolve through the CAS index — the body never
 	// left disk, so warming is a read, not a recompute. A pointer whose
-	// body the store no longer holds (budget-evicted, dropped corrupt)
-	// is silently released: the job recomputes on next demand.
+	// body the store does not hold (no store, budget-evicted, dropped
+	// corrupt) is released: the job recomputes on next demand.
 	for _, id := range rep.StoredIDs {
 		if st, ok := p.storeGet(id); ok {
 			p.Cache().Put(id, st)
@@ -574,47 +510,19 @@ func RecoverFromJournal(ctx context.Context, p *Pool, dir string) (RecoverStats,
 			stats.FailedReplays++
 		}
 	}
-	// Compact the journal to the surviving state: the replayed results
-	// plus whatever the resubmissions just completed, dropping the
-	// pre-crash accept/fail history so the file does not grow without
-	// bound across restarts. With a store attached, every survivor is
-	// migrated into the CAS and the journal keeps only slim pointers —
-	// the write-ahead log truncates to the store index.
+	// Compact the journal to the surviving state: one stored pointer per
+	// result the store holds — the replayed pointers plus whatever the
+	// resubmissions just stored — dropping the pre-crash accept and fail
+	// history so the file does not grow without bound across restarts.
+	// Without a store no pointer survives: it would point at nothing.
 	if j := p.opt.Journal; j != nil && j.Dir() == dir {
-		var keep []*Result
-		var storedIDs []string
-		seen := map[string]bool{}
-		add := func(st *Stored) {
-			if st == nil || st.ID == "" || seen[st.ID] {
-				return
-			}
-			seen[st.ID] = true
-			if p.store != nil {
-				if err := p.store.Put(st.ID, st.Body); err == nil {
-					storedIDs = append(storedIDs, st.ID)
-					return
-				}
-				p.metrics.CASErrors.Add(1)
-			}
-			if res, err := st.Result(); err == nil {
-				keep = append(keep, res)
+		var ids []string
+		for _, id := range slices.Concat(rep.StoredIDs, rep.PendingIDs) {
+			if p.store.Has(id) { // false for every id with no store
+				ids = append(ids, id)
 			}
 		}
-		for _, st := range warmed {
-			add(st)
-		}
-		for _, spec := range rep.Pending {
-			if st, ok := p.Cache().Get(spec.Hash()); ok {
-				add(st)
-			}
-		}
-		for _, id := range rep.StoredIDs {
-			if !seen[id] && p.store != nil && p.store.Has(id) {
-				seen[id] = true
-				storedIDs = append(storedIDs, id)
-			}
-		}
-		if err := j.Compact(keep, storedIDs); err != nil {
+		if err := j.Compact(ids); err != nil {
 			return stats, err
 		}
 	}

@@ -1,7 +1,10 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +19,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	specA, _ := smallEval(1).Canon()
 	specB, _ := smallEval(2).Canon()
 	specC, _ := smallEval(3).Canon()
-	resA := &Result{ID: specA.Hash(), Kind: specA.Kind, Spec: specA}
 
 	if err := j.Accept(specA.Hash(), specA); err != nil {
 		t.Fatal(err)
@@ -27,7 +29,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Accept(specC.Hash(), specC); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Done(specA.Hash(), resA); err != nil {
+	if err := j.Stored(specA.Hash()); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Fail(specC.Hash(), "spec rot", ClassSpec); err != nil {
@@ -41,8 +43,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Completed) != 1 || rep.Completed[0].ID != specA.Hash() {
-		t.Errorf("completed = %+v", rep.Completed)
+	if len(rep.StoredIDs) != 1 || rep.StoredIDs[0] != specA.Hash() {
+		t.Errorf("stored = %+v", rep.StoredIDs)
 	}
 	if len(rep.Pending) != 1 || rep.Pending[0].Hash() != specB.Hash() {
 		t.Errorf("pending = %+v", rep.Pending)
@@ -92,12 +94,40 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalOverlongLineTruncates: a line past the 16 MiB cap (only an
+// old done line could be one) ends the replay there, reported as a
+// truncation, with every record before it kept.
+func TestJournalOverlongLineTruncates(t *testing.T) {
+	dir := t.TempDir()
+	spec, _ := smallEval(1).Canon()
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, `{"op":"accept","id":%q,"spec":%s}`+"\n", spec.Hash(), specJSON)
+	b.WriteString(`{"op":"done","id":"x","result":"`)
+	b.Write(bytes.Repeat([]byte("x"), maxJournalLine))
+	b.WriteString(`"}` + "\n" + `{"op":"stored","id":"y"}` + "\n")
+	if err := os.WriteFile(filepath.Join(dir, journalFile), b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Truncated || len(rep.PendingIDs) != 1 || rep.PendingIDs[0] != spec.Hash() || len(rep.StoredIDs) != 0 {
+		t.Errorf("truncated %v, pending %v, stored %v; want the accept kept and replay stopped at the long line",
+			rep.Truncated, rep.PendingIDs, rep.StoredIDs)
+	}
+}
+
 func TestJournalMissingDirIsEmpty(t *testing.T) {
 	rep, err := ReplayJournal(filepath.Join(t.TempDir(), "nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Pending)+len(rep.Completed)+rep.Failed != 0 {
+	if len(rep.Pending)+len(rep.StoredIDs)+rep.Failed != 0 {
 		t.Errorf("replay of absent journal = %+v", rep)
 	}
 }
@@ -111,20 +141,19 @@ func TestJournalCompact(t *testing.T) {
 	defer j.Close()
 	specA, _ := smallEval(1).Canon()
 	specB, _ := smallEval(2).Canon()
-	resA := &Result{ID: specA.Hash(), Kind: specA.Kind, Spec: specA}
 	j.Accept(specA.Hash(), specA)
 	j.Accept(specB.Hash(), specB)
-	j.Done(specA.Hash(), resA)
+	j.Stored(specA.Hash())
 	j.Fail(specB.Hash(), "gone", ClassFatal)
 
-	if err := j.Compact([]*Result{resA}, nil); err != nil {
+	if err := j.Compact([]string{specA.Hash()}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := ReplayJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Completed) != 1 || len(rep.Pending) != 0 || rep.Failed != 0 {
+	if len(rep.StoredIDs) != 1 || len(rep.Pending) != 0 || rep.Failed != 0 {
 		t.Errorf("after compact: %+v", rep)
 	}
 
@@ -140,7 +169,7 @@ func TestJournalCompact(t *testing.T) {
 }
 
 // TestJournalCompactNow drives the SIGHUP path: on-demand compaction of
-// a live journal must shrink the file, keep one done record per
+// a live journal must shrink the file, keep one stored pointer per
 // completed job, preserve pending accepts — repeated per replay
 // generation, so the poison-job marker survives — drop terminal-failure
 // history, report accurate stats, and leave the journal appendable.
@@ -154,13 +183,12 @@ func TestJournalCompactNow(t *testing.T) {
 	done, _ := smallEval(1).Canon()
 	pending, _ := smallEval(2).Canon()
 	failed, _ := smallEval(3).Canon()
-	resDone := &Result{ID: done.Hash(), Kind: done.Kind, Spec: done}
 
 	// A noisy history: duplicate accepts for the completed job, two boot
 	// generations for the pending one, and a terminal failure.
 	j.Accept(done.Hash(), done)
 	j.Accept(done.Hash(), done)
-	j.Done(done.Hash(), resDone)
+	j.Stored(done.Hash())
 	j.Accept(pending.Hash(), pending)
 	j.Accept(pending.Hash(), pending)
 	j.Accept(failed.Hash(), failed)
@@ -170,7 +198,7 @@ func TestJournalCompactNow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Completed != 1 || st.PendingKept != 1 || st.DroppedFailed != 1 {
+	if st.StoredKept != 1 || st.PendingKept != 1 || st.DroppedFailed != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.BeforeBytes <= st.AfterBytes || st.AfterBytes <= 0 {
@@ -181,8 +209,8 @@ func TestJournalCompactNow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Completed) != 1 || rep.Completed[0].ID != done.Hash() {
-		t.Errorf("completed after compaction = %+v", rep.Completed)
+	if len(rep.StoredIDs) != 1 || rep.StoredIDs[0] != done.Hash() {
+		t.Errorf("stored after compaction = %+v", rep.StoredIDs)
 	}
 	if len(rep.Pending) != 1 || rep.Pending[0].Hash() != pending.Hash() {
 		t.Errorf("pending after compaction = %+v", rep.Pending)
@@ -341,8 +369,8 @@ func TestReplayCountsAcceptGenerations(t *testing.T) {
 }
 
 // TestPoolJournalsLifecycle: accepted and completed jobs land in the
-// journal with enough to recover: the accept's canonical spec and the
-// done's full result.
+// journal with enough to recover: the accept's canonical spec and, once
+// the job finished, a stored pointer — never the result itself.
 func TestPoolJournalsLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)
@@ -359,15 +387,176 @@ func TestPoolJournalsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Completed) != 1 || rep.Completed[0].ID != res.ID {
-		t.Fatalf("journal completed = %+v", rep.Completed)
+	if len(rep.StoredIDs) != 1 || rep.StoredIDs[0] != res.ID {
+		t.Fatalf("journal stored = %+v", rep.StoredIDs)
 	}
-	if rep.Completed[0].Evaluation == nil ||
-		rep.Completed[0].Evaluation.ShippedMHz != res.Evaluation.ShippedMHz {
-		t.Error("journal result payload does not match the served result")
+	if len(rep.Pending) != 0 {
+		t.Errorf("finished job still pending: %+v", rep.PendingIDs)
 	}
-	if p.Metrics().JournalAccepted.Load() != 1 || p.Metrics().JournalCompleted.Load() != 1 {
-		t.Errorf("journal counters: accepted=%d completed=%d",
-			p.Metrics().JournalAccepted.Load(), p.Metrics().JournalCompleted.Load())
+	if p.Metrics().JournalAccepted.Load() != 1 || p.Metrics().JournalStored.Load() != 1 {
+		t.Errorf("journal counters: accepted=%d stored=%d",
+			p.Metrics().JournalAccepted.Load(), p.Metrics().JournalStored.Load())
+	}
+}
+
+// TestStoredPointerFollowsPut: with a store attached, the stored pointer
+// is written only once the CAS put succeeded, so every pointer in the
+// journal names a body the store holds.
+func TestStoredPointerFollowsPut(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(filepath.Join(dir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	s := openTestStore(t, filepath.Join(dir, "store"))
+	defer s.Close()
+	p := NewPool(Options{Workers: 1, Journal: j, Store: s})
+	res, err := p.Do(context.Background(), smallEval(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayJournal(j.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.StoredIDs) != 1 || rep.StoredIDs[0] != res.ID || !s.Has(res.ID) {
+		t.Errorf("stored pointers %v, store holds the body: %v", rep.StoredIDs, s.Has(res.ID))
+	}
+}
+
+// TestFailedPutLeavesAcceptPending: a CAS put that fails counts a CAS
+// error and writes no pointer. The request is still answered, the
+// job's accept stays pending, and the next boot recomputes the result,
+// stores it and points at it.
+func TestFailedPutLeavesAcceptPending(t *testing.T) {
+	dir := t.TempDir()
+	journalDir, storeDir := filepath.Join(dir, "journal"), filepath.Join(dir, "store")
+	j1, err := OpenJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := openTestStore(t, storeDir)
+	s1.Close() // every put now fails
+	p1 := NewPool(Options{Workers: 1, Journal: j1, Store: s1})
+	a, err := p1.Serve(context.Background(), smallEval(1))
+	if err != nil {
+		t.Fatalf("a failed put must not fail the request: %v", err)
+	}
+	if got := p1.Metrics().CASErrors.Load(); got != 1 {
+		t.Errorf("cas errors = %d, want 1", got)
+	}
+	if got := p1.Metrics().JournalStored.Load(); got != 0 {
+		t.Errorf("stored pointers = %d, want 0 after a failed put", got)
+	}
+	j1.Close()
+	rep, err := ReplayJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.PendingIDs) != 1 || rep.PendingIDs[0] != a.ID || len(rep.StoredIDs) != 0 {
+		t.Fatalf("journal after failed put: pending %v, stored %v", rep.PendingIDs, rep.StoredIDs)
+	}
+
+	j2, err := OpenJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	s2 := openTestStore(t, storeDir)
+	defer s2.Close()
+	p2 := NewPool(Options{Workers: 1, Journal: j2, Store: s2})
+	stats, err := RecoverFromJournal(context.Background(), p2, journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Resubmitted != 1 || p2.Metrics().JobsStarted.Load() != 1 {
+		t.Errorf("boot re-ran %d jobs (%d started), want the one whose put failed",
+			stats.Resubmitted, p2.Metrics().JobsStarted.Load())
+	}
+	body, ok := s2.Get(a.ID)
+	if !ok || !bytes.Equal(body, a.Body) {
+		t.Errorf("boot did not store the recomputed result byte-identically (held %v)", ok)
+	}
+	rep, err = ReplayJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.StoredIDs) != 1 || rep.StoredIDs[0] != a.ID || len(rep.Pending) != 0 {
+		t.Errorf("journal after recovery: stored %v, pending %d", rep.StoredIDs, len(rep.Pending))
+	}
+}
+
+// TestOldJournalDoneLinesIgnored: the "done" records older journals wrote
+// carry a full result, and nothing reads them any more. A job with an
+// accept and a done line re-runs once at the first boot and is stored
+// like any other; a done line with no accept (what old compactions left)
+// names nothing. The stale body is never served: the done line below
+// carries a wrong payload, and the answer is the recomputed one.
+func TestOldJournalDoneLinesIgnored(t *testing.T) {
+	dir := t.TempDir()
+	journalDir, storeDir := filepath.Join(dir, "journal"), filepath.Join(dir, "store")
+	if err := os.MkdirAll(journalDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rerun, _ := smallEval(1).Canon()
+	orphan, _ := smallEval(2).Canon()
+	spec, err := json.Marshal(rerun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := fmt.Sprintf(`{"op":"accept","id":%[1]q,"spec":%[2]s}
+{"op":"done","id":%[1]q,"result":{"id":%[1]q,"kind":"evaluate","spec":%[2]s,"evaluation":{"shipped_mhz":1}}}
+{"op":"done","id":%[3]q,"result":{"id":%[3]q,"kind":"evaluate"}}
+`, rerun.Hash(), spec, orphan.Hash())
+	if err := os.WriteFile(filepath.Join(journalDir, journalFile), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.PendingIDs) != 1 || rep.PendingIDs[0] != rerun.Hash() || len(rep.StoredIDs)+rep.Failed != 0 {
+		t.Fatalf("old journal replays as pending %v, stored %v, failed %d; want only the accept pending",
+			rep.PendingIDs, rep.StoredIDs, rep.Failed)
+	}
+
+	boot := func() (*Pool, RecoverStats, func()) {
+		j, err := OpenJournal(journalDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := openTestStore(t, storeDir)
+		p := NewPool(Options{Workers: 1, Journal: j, Store: s})
+		stats, err := RecoverFromJournal(context.Background(), p, journalDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, stats, func() { s.Close(); j.Close() }
+	}
+	p, stats, stop := boot()
+	if stats.Resubmitted != 1 || stats.WarmedStore != 0 || p.Metrics().JobsStarted.Load() != 1 {
+		t.Errorf("first boot: resubmitted %d, warmed %d, started %d; want 1, 0, 1",
+			stats.Resubmitted, stats.WarmedStore, p.Metrics().JobsStarted.Load())
+	}
+	if p.HasStored(orphan.Hash()) {
+		t.Error("a done line with no accept surfaced a result")
+	}
+	ref := serialReference(t, []Spec{rerun})
+	a, err := p.Serve(context.Background(), rerun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Body, ref[a.ID]) {
+		t.Error("served the old done line's body, not the recomputed result")
+	}
+	stop()
+
+	// The second boot finds a stored pointer: the re-run happened once.
+	p, stats, stop = boot()
+	defer stop()
+	if stats.Resubmitted != 0 || stats.WarmedStore != 1 || p.Metrics().JobsStarted.Load() != 0 {
+		t.Errorf("second boot: resubmitted %d, warmed %d, started %d; want 0, 1, 0",
+			stats.Resubmitted, stats.WarmedStore, p.Metrics().JobsStarted.Load())
 	}
 }

@@ -40,11 +40,10 @@ type Metrics struct {
 	JobsAbandoned atomic.Int64 // jobs the watchdog reclaimed from wedged workers
 
 	JournalAccepted         atomic.Int64 // accept records fsynced
-	JournalCompleted        atomic.Int64 // done records written
-	JournalStored           atomic.Int64 // slim CAS-pointer records written
+	JournalStored           atomic.Int64 // stored-pointer records written
 	JournalFailed           atomic.Int64 // terminal fail records written
 	JournalErrors           atomic.Int64 // journal writes that failed (degraded durability)
-	JournalReplayedDone     atomic.Int64 // completed results re-warmed from the journal
+	JournalReplayedDone     atomic.Int64 // stored results re-warmed from the store at replay
 	JournalReplayedPending  atomic.Int64 // pending jobs re-executed from the journal
 	JournalReplaysExhausted atomic.Int64 // poison jobs failed terminally after MaxReplayGenerations
 
@@ -111,7 +110,6 @@ func (m *Metrics) Snapshot() map[string]any {
 	}
 	journal := map[string]any{
 		"accepted":          m.JournalAccepted.Load(),
-		"completed":         m.JournalCompleted.Load(),
 		"stored":            m.JournalStored.Load(),
 		"failed":            m.JournalFailed.Load(),
 		"errors":            m.JournalErrors.Load(),

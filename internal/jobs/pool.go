@@ -54,14 +54,15 @@ type Options struct {
 	// submission can park at most one.
 	WatchdogGrace time.Duration
 	// Journal, when set, write-ahead-logs accepted jobs (fsync before
-	// run) and their outcomes, so a restart can recover pending work
-	// and warm cache keys via RecoverFromJournal.
+	// run) and their outcomes, so a restart re-runs interrupted work
+	// and re-warms stored results via RecoverFromJournal. It never
+	// holds a result body.
 	Journal *Journal
 	// Store, when set, adds a disk tier under the RAM cache: completed
 	// results persist as content-addressed records, cache misses
 	// consult the store before recomputing, and the store's admission
-	// sketch gates RAM promotion (TinyLFU). With a store, the journal
-	// records slim "stored" pointers instead of full result bodies.
+	// sketch gates RAM promotion (TinyLFU). The store is the only place
+	// a result is durable; without one, results live in RAM alone.
 	Store *cas.Store
 	// Injector, when set, injects deterministic faults at the pool and
 	// flow-stage seams (chaos testing).
@@ -112,7 +113,7 @@ type Job struct {
 
 	mu       sync.Mutex
 	state    State
-	err      string
+	err      error
 	result   *Result
 	created  time.Time
 	started  time.Time
@@ -147,9 +148,11 @@ func (j *Job) Status() JobStatus {
 		ID:        j.ID,
 		Kind:      j.Spec.Kind,
 		State:     j.state,
-		Error:     j.err,
 		CreatedAt: j.created.UTC().Format(time.RFC3339Nano),
 		Result:    j.result,
+	}
+	if j.err != nil {
+		st.Error = j.err.Error()
 	}
 	if !j.started.IsZero() {
 		st.StartedAt = j.started.UTC().Format(time.RFC3339Nano)
@@ -172,8 +175,8 @@ func (j *Job) wait(ctx context.Context, a *Answer) (Answer, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.err != "" {
-		return Answer{}, errors.New(j.err)
+	if j.err != nil {
+		return Answer{}, j.err
 	}
 	return *a, nil
 }
@@ -514,14 +517,14 @@ func (p *Pool) safeRun(ctx context.Context, poolKey string, c Spec) (res *Result
 }
 
 // StoreResult installs a result computed elsewhere — a replication
-// write from a cluster peer — into this node's cache and journal, after
+// write from a cluster peer — into this node's cache and store, after
 // verifying its integrity: the payload's canonical spec must hash to
 // the claimed content address, so a corrupted or mislabeled replica can
 // never poison the cache with a wrong answer under a right key
 // (failures wrap ErrBadReplica). It reports whether the result was new
 // here (false means an identical entry already existed — the
-// anti-entropy no-op). Stored results are journaled as done records,
-// so a replica survives the replica-holder's own restart.
+// anti-entropy no-op). With a store attached, a replica survives the
+// replica-holder's own restart.
 func (p *Pool) StoreResult(res *Result) (created bool, err error) {
 	if res == nil || res.ID == "" {
 		return false, fmt.Errorf("%w: empty result", ErrBadReplica)
@@ -601,24 +604,12 @@ func (p *Pool) journalAccept(id string, c Spec) {
 	p.metrics.JournalAccepted.Add(1)
 }
 
-// journalDone records a completed job with its result.
-func (p *Pool) journalDone(id string, res *Result) {
-	j := p.opt.Journal
-	if j == nil {
-		return
-	}
-	if err := j.Done(id, res); err != nil {
-		p.metrics.JournalErrors.Add(1)
-		return
-	}
-	p.metrics.JournalCompleted.Add(1)
-}
-
-// journalStored records that a job's result is durable in the CAS
-// store — a slim pointer instead of a done record with the full body.
-// The record is unsynced: the CAS write it points at already fsynced,
-// and recovery checks the store before re-running a pending accept, so
-// losing the pointer costs an index lookup, never a recompute.
+// journalStored records that a job's result is durable — a slim
+// pointer to the CAS record, or, with no store, the bare close of the
+// accept. The record is unsynced: the CAS write it points at already
+// fsynced, and recovery checks the store before re-running a pending
+// accept, so losing the pointer costs an index lookup, not a recompute
+// (without a store, one re-run at the next boot).
 func (p *Pool) journalStored(id string) {
 	j := p.opt.Journal
 	if j == nil {
@@ -657,7 +648,7 @@ func (p *Pool) finish(j *Job, st *Stored, err error) {
 	}
 	if err != nil {
 		j.state = StateFailed
-		j.err = err.Error()
+		j.err = err
 	} else {
 		j.state = StateDone
 		j.result, _ = st.Result() // st was encoded from its result: no decode

@@ -280,3 +280,57 @@ func TestAbandonedAttemptsBounded(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestJoinerKeepsErrorIdentity: a request that joined an in-flight job
+// gets the job's own error value, so errors.Is and Classify see what the
+// computing request sees — a joined timeout still maps to 504 and a
+// joined panic still matches ErrPanicked.
+func TestJoinerKeepsErrorIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		target error
+		run    func(ctx context.Context, release <-chan struct{}) (*Result, error)
+	}{
+		{"timeout", context.DeadlineExceeded, func(ctx context.Context, _ <-chan struct{}) (*Result, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}},
+		{"panic", ErrPanicked, func(_ context.Context, release <-chan struct{}) (*Result, error) {
+			<-release
+			panic("boom")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(Options{Workers: 2, JobTimeout: 200 * time.Millisecond})
+			started, release := make(chan struct{}), make(chan struct{})
+			var runs atomic.Int32
+			p.runFn = func(ctx context.Context, _ Spec, _ int) (*Result, error) {
+				if runs.Add(1) == 1 {
+					close(started)
+				}
+				return tc.run(ctx, release)
+			}
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); _, errs[0] = p.Do(context.Background(), smallEval(1)) }()
+			<-started
+			go func() { defer wg.Done(); _, errs[1] = p.Do(context.Background(), smallEval(1)) }()
+			time.Sleep(20 * time.Millisecond) // let the second request join
+			close(release)
+			wg.Wait()
+
+			if n := runs.Load(); n != 1 {
+				t.Fatalf("job ran %d times; the second request did not join", n)
+			}
+			for i, err := range errs {
+				if !errors.Is(err, tc.target) {
+					t.Errorf("request %d: err = %v, want errors.Is %v", i, err, tc.target)
+				}
+			}
+			if a, b := Classify(context.Background(), errs[0]), Classify(context.Background(), errs[1]); a != b {
+				t.Errorf("computing request classified %s, joiner %s", a, b)
+			}
+		})
+	}
+}

@@ -53,29 +53,21 @@ func (p *Pool) storeGetE(id string) (*Stored, error) {
 	return st, nil
 }
 
-// persistResult makes a published result durable. With a store, the
-// stored bytes go into the CAS (fsynced) and the journal records only a
-// slim "stored" line — the journal is then a write-ahead log, not the
-// result archive, and compaction can truncate it to pointers. Without a
-// store (or when the store write fails) the full result is journaled as
-// a done record, the pre-store behavior.
+// persistResult makes a published result durable. The CAS store is the
+// only place a result body lives: with a store, the stored bytes go in
+// (fsynced) and only then does the journal get its slim "stored"
+// pointer. A failed put counts a CAS error and writes no pointer, so the
+// job's accept stays pending and the next boot recomputes the result and
+// stores it. Without a store the pointer is written at once: it closes
+// the accept, and the result recomputes on demand after a restart.
 func (p *Pool) persistResult(st *Stored) {
 	if p.store != nil {
-		if err := p.store.Put(st.ID, st.Body); err == nil {
-			p.journalStored(st.ID)
+		if err := p.store.Put(st.ID, st.Body); err != nil {
+			p.metrics.CASErrors.Add(1)
 			return
 		}
-		p.metrics.CASErrors.Add(1)
 	}
-	if p.opt.Journal == nil {
-		return
-	}
-	res, err := st.Result()
-	if err != nil {
-		p.metrics.JournalErrors.Add(1)
-		return
-	}
-	p.journalDone(st.ID, res)
+	p.journalStored(st.ID)
 }
 
 // SetReadRepair installs the read-repair hook — in production, the
@@ -137,25 +129,6 @@ func (p *Pool) probeCorrupt(readErr error, id string) bool {
 	return p.store.Quarantined(id)
 }
 
-// FindStored resolves a content address through every durable tier:
-// RAM cache, then the CAS store, then the journal's done records. The
-// read path behind GET /v1/results/{id} and replica fetches.
-func (p *Pool) FindStored(id string) (*Stored, bool) {
-	if st, ok := p.cache.Get(id); ok {
-		return st, true
-	}
-	if st, ok := p.storeGet(id); ok {
-		return st, true
-	}
-	if j := p.opt.Journal; j != nil {
-		if res, ok := j.FindResult(id); ok {
-			st, err := Encode(res)
-			return st, err == nil
-		}
-	}
-	return nil, false
-}
-
 // HasStored reports whether the id resolves in RAM or on disk without
 // reading the body — the cheap membership check replica GETs use.
 func (p *Pool) HasStored(id string) bool {
@@ -198,9 +171,9 @@ func (v *StoredView) Keys() []string {
 	return keys
 }
 
-// Get resolves a content address from RAM or disk (not the journal —
-// repair sweeps are hot-path reads; the journal backstop stays behind
-// FindStored).
+// Get resolves a content address from RAM or disk, the two places a
+// result lives — the read path behind GET /v1/results/{id}, replica
+// fetches and repair sweeps.
 func (v *StoredView) Get(id string) (*Stored, bool) {
 	if st, ok := v.p.cache.Get(id); ok {
 		return st, true

@@ -33,6 +33,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/faultinject"
 )
 
 // ErrInjected marks every transport error the layer fabricates. The
@@ -217,7 +219,7 @@ func (in *Injector) Decide(key string) Kind {
 	if in.plan.Match != "" && !strings.Contains(key, in.plan.Match) {
 		return None
 	}
-	u := in.uniform(key)
+	u := faultinject.Uniform(in.plan.Seed, key)
 	for _, step := range []struct {
 		rate float64
 		kind Kind
@@ -234,27 +236,6 @@ func (in *Injector) Decide(key string) Kind {
 		u -= step.rate
 	}
 	return None
-}
-
-// uniform hashes (seed, key) into [0,1) — same construction as
-// internal/faultinject: FNV-1a over the seed bytes and key, then a
-// splitmix64 finalizer before taking 53 bits.
-func (in *Injector) uniform(key string) float64 {
-	h := fnv.New64a()
-	var seed [8]byte
-	s := uint64(in.plan.Seed)
-	for i := range seed {
-		seed[i] = byte(s >> (8 * i))
-	}
-	h.Write(seed[:])
-	h.Write([]byte(key))
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
 }
 
 // Resolver maps a request's URL host ("127.0.0.1:41234") to the peer id

@@ -600,10 +600,8 @@ func (h *handler) jobStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // getResult serves GET /v1/results/{id}: the internal replication read.
-// It resolves through every durable tier — result cache, then the CAS
-// store's segment index, then the crash-safe journal (a restarted node
-// holds its finished work on disk before the cache rewarms) — and 404s
-// otherwise. The body is the result's stored bytes under their digest,
+// It resolves through the two places a result lives — the result cache,
+// then the CAS store's segment index — and 404s otherwise. The body is the result's stored bytes under their digest,
 // the same bytes a POST for the spec returns, so the fetching peer
 // verifies them end to end.
 func (h *handler) getResult(w http.ResponseWriter, r *http.Request) {
@@ -612,7 +610,7 @@ func (h *handler) getResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("id must be 64 lowercase hex characters"))
 		return
 	}
-	if st, ok := h.pool.FindStored(id); ok {
+	if st, ok := h.pool.StoredView().Get(id); ok {
 		writeStored(w, st)
 		return
 	}

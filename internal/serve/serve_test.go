@@ -549,7 +549,7 @@ func TestMetricsExposesRobustnessCounters(t *testing.T) {
 	if !ok {
 		t.Fatalf("metrics journal block: %v", snap["journal"])
 	}
-	for _, key := range []string{"accepted", "completed", "failed", "errors",
+	for _, key := range []string{"accepted", "stored", "failed", "errors",
 		"replayed_done", "replayed_pending", "replays_exhausted"} {
 		if _, ok := journal[key]; !ok {
 			t.Errorf("journal.%s missing from /metrics", key)
