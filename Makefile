@@ -149,9 +149,12 @@ soak-cas:
 # every single-bit flip of a valid record and never panic on garbage),
 # and journal replay (every byte of a journal left by a crash crosses it
 # at boot; each job it names must land in exactly one class).
-# CI-sized; raise -fuzztime for a real hunt.
+# CI-sized; raise -fuzztime for a real hunt. FuzzReadVerilog bounds
+# input minimization at 5s: its seeds are several KB of Verilog, and
+# minimizing a new input grown from one can take the default 60s, more
+# than the whole 30s budget, which left the target near zero execs/s.
 fuzz:
-	$(GO) test ./internal/netlist/ -run '^$$' -fuzz FuzzReadVerilog -fuzztime 30s
+	$(GO) test ./internal/netlist/ -run '^$$' -fuzz FuzzReadVerilog -fuzztime 30s -fuzzminimizetime 5s
 	$(GO) test ./internal/jobs/ -run '^$$' -fuzz FuzzJobSpecCanonical -fuzztime 30s
 	$(GO) test ./internal/jobs/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz FuzzPeerResponseDecode -fuzztime 30s

@@ -57,19 +57,19 @@
 // rendezvous hashing over its content address; requests are forwarded
 // to their owners (hedged past -hedge-after), and a suspect or dead
 // owner's slice is computed by the next node in order — see
-// internal/cluster. Completed results are replicated to the first
-// -replicas nodes in rendezvous order and repaired by a background
-// anti-entropy sweep every -antientropy-interval, so a partitioned
-// owner's finished work stays servable. Ownership re-ranks live as nodes
-// join and leave, and completed results migrate to their new owners
-// instead of being recomputed. On SIGTERM the node drains first: it
-// announces the drain (new work flows to the next rendezvous rank),
-// finishes in-flight jobs, hands every held result off, and only then
-// leaves — a rolling restart loses nothing. POST /v1/drain triggers the
-// same sequence remotely. Setting GAPD_NETFAULT to a netfault plan (e.g.
-// "seed=7,partition=0.05,corrupt=0.01") injects deterministic network
-// faults into every peer-facing request — the chaos drill for a real
-// multi-process cluster.
+// internal/cluster. One placement sweep keeps every completed result on
+// the first -replicas nodes in rendezvous order (at least its owner): it
+// runs on compute, on every ring change, and every
+// -antientropy-interval, so a partitioned owner's finished work stays
+// servable and, as nodes join and leave, completed results move to
+// their new owners instead of being recomputed. On SIGTERM the node
+// drains first: it announces the drain (new work flows to the next
+// rendezvous rank), finishes in-flight jobs, hands every held result
+// off, and only then leaves — a rolling restart loses nothing. POST
+// /v1/drain triggers the same sequence remotely. Setting GAPD_NETFAULT
+// to a netfault plan (e.g. "seed=7,partition=0.05,corrupt=0.01")
+// injects deterministic network faults into every peer-facing request —
+// the chaos drill for a real multi-process cluster.
 package main
 
 import (
@@ -118,8 +118,8 @@ func main() {
 	gossipInterval := flag.Duration("gossip-interval", 250*time.Millisecond, "spacing of gossip protocol rounds")
 	gossipSeed := flag.Int64("gossip-seed", 1, "seed for the deterministic probe/ping-req target selection")
 	hedgeAfter := flag.Duration("hedge-after", 50*time.Millisecond, "latency threshold before a forwarded request is hedged to the next node in rendezvous order (negative disables)")
-	replicas := flag.Int("replicas", 2, "replication factor: completed results are pushed to the first N nodes in rendezvous order (1 disables)")
-	aeInterval := flag.Duration("antientropy-interval", 30*time.Second, "spacing of background replica-repair sweeps (0 disables)")
+	replicas := flag.Int("replicas", 2, "replication factor: completed results are placed on the first N nodes in rendezvous order (1: the owner alone, no replica reads)")
+	aeInterval := flag.Duration("antientropy-interval", 30*time.Second, "period of the placement sweep that re-offers every held result to its rendezvous targets, at any -replicas (0 disables)")
 	showVersion := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
 
@@ -261,9 +261,9 @@ func main() {
 			RequestTimeout:      *reqTimeout,
 			Replicas:            *replicas,
 			AntiEntropyInterval: *aeInterval,
-			// The cluster's result set is the union of RAM and disk:
-			// anti-entropy repair and drain handoff must cover results
-			// the cache has evicted but the store still holds.
+			// The cluster's result set is the union of RAM and disk: the
+			// placement sweep must cover results the cache has evicted
+			// but the store still holds.
 			Results: pool.StoredView(),
 			Gossip: cluster.GossipOptions{
 				SelfURL:  *advertise,
@@ -368,7 +368,7 @@ func main() {
 			// Results that completed during the drain window migrate in a
 			// final sweep now that the server has quiesced; then announce
 			// clean departure so peers record "left", not "dead".
-			if migrated := clu.HandoffNow(shutdownCtx); migrated > 0 {
+			if migrated, _ := clu.HandoffNow(shutdownCtx); migrated > 0 {
 				log.Printf("gapd: final handoff: %d late results migrated", migrated)
 			}
 			clu.Leave(shutdownCtx)

@@ -105,25 +105,26 @@ type Options struct {
 	// Metrics receives the routing counters; nil allocates a private
 	// set (retrievable via Cluster.Metrics).
 	Metrics *Metrics
-	// Replicas is the replication factor R: a completed result lives on
-	// the first R nodes in its rendezvous order (owner included), pushed
-	// asynchronously at completion time and repaired by anti-entropy
-	// (default 1 — replication off; every result lives only where it was
-	// computed).
+	// Replicas is the replication factor R: a completed result belongs
+	// on the first R nodes in its rendezvous order (owner included).
+	// The placement sweep pushes it there at completion time, on every
+	// ring change and every AntiEntropyInterval (default 1: the result
+	// belongs on its owner alone, and a copy computed elsewhere is
+	// pushed to the owner).
 	Replicas int
-	// AntiEntropyInterval spaces the background repair sweeps that
-	// re-push cached results to replica peers that missed the
-	// completion-time push (a partition, a restart). Zero disables the
-	// loop; AntiEntropyNow remains callable either way.
+	// AntiEntropyInterval is the period of the placement sweep's tick,
+	// which re-offers every held result to its targets so one that
+	// missed a push (a partition, a suspect, a restart) gets it. Zero
+	// disables the tick; AntiEntropyNow remains callable either way.
 	AntiEntropyInterval time.Duration
 	// DeadlineMargin is subtracted from the caller's deadline at each
 	// forward hop before it is stamped onto the wire, reserving budget
 	// for this hop's own marshalling and transit (default 10ms).
 	DeadlineMargin time.Duration
-	// Results exposes this node's completed-result store to replication
-	// and anti-entropy (typically the pool's cache). Nil disables the
-	// /v1/results serving path, replica fallback reads, and
-	// anti-entropy.
+	// Results exposes this node's completed-result store to the
+	// placement sweep and to replica reads (typically the pool's
+	// StoredView). Nil leaves only the compute push: ring-change,
+	// drain and tick passes have nothing to place.
 	Results ResultStore
 	// WrapTransport, when non-nil, wraps the HTTP transport used for
 	// every peer request — forwards, probes, replication pushes, and
@@ -156,7 +157,6 @@ type Cluster struct {
 	maxTargets     int
 	replicas       int
 	vnodes         int
-	aeInterval     time.Duration
 	deadlineMargin time.Duration
 	view           atomic.Pointer[ringView]
 	gossip         *gossipRunner
@@ -164,9 +164,6 @@ type Cluster struct {
 	hc             *http.Client
 	reqTimeout     time.Duration
 	metrics        *Metrics
-
-	aeCancel context.CancelFunc
-	aeDone   chan struct{}
 }
 
 // rv returns the current ring view (never nil).
@@ -267,14 +264,13 @@ func New(opt Options) (*Cluster, error) {
 		maxTargets:     opt.MaxTargets,
 		replicas:       opt.Replicas,
 		vnodes:         opt.VNodes,
-		aeInterval:     opt.AntiEntropyInterval,
 		deadlineMargin: opt.DeadlineMargin,
 		results:        opt.Results,
 		reqTimeout:     opt.RequestTimeout,
 		metrics:        opt.Metrics,
 		hc:             &http.Client{Transport: rt},
 	}
-	g, err := newGossipRunner(c, opt.SelfID, opt.Gossip, seeds)
+	g, err := newGossipRunner(c, opt.SelfID, opt.Gossip, seeds, opt.AntiEntropyInterval)
 	if err != nil {
 		return nil, err
 	}
@@ -304,38 +300,14 @@ func ParsePeers(s string) ([]Peer, error) {
 }
 
 // Start begins the gossip loop (join announcement to the seed
-// contacts, then periodic probe/ping-req rounds) and, when configured
-// with an interval and a result store, the background anti-entropy loop.
-func (c *Cluster) Start(ctx context.Context) {
-	c.gossip.start(ctx)
-	if c.aeInterval > 0 && c.results != nil && c.replicas > 1 {
-		aeCtx, cancel := context.WithCancel(ctx)
-		c.aeCancel = cancel
-		c.aeDone = make(chan struct{})
-		go func() {
-			defer close(c.aeDone)
-			t := time.NewTicker(c.aeInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					c.AntiEntropyNow(aeCtx)
-				case <-aeCtx.Done():
-					return
-				}
-			}
-		}()
-	}
-}
+// contacts, then periodic probe/ping-req rounds) and the placement
+// sweep goroutine (a handoff pass on each ring change, an anti-entropy
+// pass every AntiEntropyInterval).
+func (c *Cluster) Start(ctx context.Context) { c.gossip.start(ctx) }
 
-// Close stops the gossip loop, the anti-entropy loop, and releases idle
-// connections.
+// Close stops the gossip and sweep loops and releases idle connections.
 func (c *Cluster) Close() {
 	c.gossip.stop()
-	if c.aeCancel != nil {
-		c.aeCancel()
-		<-c.aeDone
-	}
 	c.hc.CloseIdleConnections()
 }
 

@@ -119,8 +119,7 @@ func startClusterPools(t testing.TB, n int, poolOpt func(id string) jobs.Options
 	}
 	for _, nd := range nodes {
 		// The pool exists before the cluster so its tiers can back the
-		// cluster's replication reads (Results); with the default
-		// Replicas of 1 the wiring is inert.
+		// cluster's placement sweeps and replica reads (Results).
 		po := jobs.Options{Workers: 2}
 		if poolOpt != nil {
 			po = poolOpt(nd.id)
@@ -421,8 +420,13 @@ func TestForwardedLoopGuard(t *testing.T) {
 	if got := entry.pool.Cache().Len(); got != 1 {
 		t.Errorf("entry-node cache entries = %d, want 1", got)
 	}
-	if got := owner.pool.Cache().Len(); got != 0 {
-		t.Errorf("owner cache entries = %d, want 0 (request must not hop again)", got)
+	// The owner may hold the result, placed there after the compute;
+	// what it must not have done is serve or run the request.
+	if got := owner.clu.Metrics().Counters()["cluster_local"]; got != 0 {
+		t.Errorf("owner served %d requests, want 0 (request must not hop again)", got)
+	}
+	if got := owner.pool.Metrics().JobsStarted.Load(); got != 0 {
+		t.Errorf("owner started %d jobs, want 0 (request must not hop again)", got)
 	}
 }
 

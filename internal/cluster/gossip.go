@@ -54,8 +54,8 @@ type GossipAck struct {
 
 // gossipRunner drives the internal/gossip state machine over HTTP: the
 // periodic probe/ping-req loop, the join announcement, ring rebuilds
-// when the view's ring generation moves, and the handoff sweeps that
-// migrate results to their new owners.
+// when the view's ring generation moves, and the placement sweep
+// goroutine that moves results to their rendezvous targets.
 type gossipRunner struct {
 	c        *Cluster
 	view     *gossip.View
@@ -72,8 +72,10 @@ type gossipRunner struct {
 	lastRefut uint64
 	lastSusp  uint64
 
-	// sweepCh single-flights background handoff sweeps: a rebuild that
+	// tick is the anti-entropy period of the sweep goroutine (zero: no
+	// tick). sweepCh single-flights handoff passes: a rebuild that
 	// happens mid-sweep queues exactly one follow-up.
+	tick      time.Duration
 	sweepCh   chan struct{}
 	cancel    context.CancelFunc
 	done      chan struct{}
@@ -85,10 +87,11 @@ type gossipRunner struct {
 // cluster route the moment it boots — and the first ring over it. A
 // fresher record (a peer that left or was declared dead at a higher
 // incarnation) overrides a seed on the first exchange that carries it.
-func newGossipRunner(c *Cluster, self string, opt GossipOptions, seeds []Peer) (*gossipRunner, error) {
+func newGossipRunner(c *Cluster, self string, opt GossipOptions, seeds []Peer, tick time.Duration) (*gossipRunner, error) {
 	g := &gossipRunner{
 		c:        c,
 		interval: opt.Interval,
+		tick:     tick,
 		timeout:  opt.ProbeTimeout,
 		seeds:    seeds,
 		sweepCh:  make(chan struct{}, 1),
@@ -118,11 +121,6 @@ func newGossipRunner(c *Cluster, self string, opt GossipOptions, seeds []Peer) (
 	g.view = view
 	g.rebuildRing()
 	return g, nil
-}
-
-// draining reports whether this node has announced a drain.
-func (g *gossipRunner) draining() bool {
-	return g.view.Self().State == gossip.StateDraining
 }
 
 // start launches the protocol loop: an immediate join announcement to
@@ -218,7 +216,7 @@ func (g *gossipRunner) probe(ctx context.Context, target gossip.Member) {
 
 // rejoinDead sends the join exchange to the next seed, in -peers order
 // round-robin, that this view holds dead. Nothing else ever contacts a
-// dead member — probes, ping-req proxies, the ring and anti-entropy all
+// dead member — probes, ping-req proxies, the ring and placement all
 // skip it — so after a partition that outlived the suspicion window,
 // with each side holding the other dead, this exchange is the only
 // traffic that crosses the healed cut: it carries each side's verdict
@@ -310,7 +308,7 @@ func (g *gossipRunner) syncStats() {
 }
 
 // maybeRebuild swaps in a new ring when the view's ring-eligible set
-// changed since the last build, then queues a handoff sweep — results
+// changed since the last build, then queues a handoff pass — results
 // this node holds may have new homes under the new ranking.
 func (g *gossipRunner) maybeRebuild() {
 	if g.rebuildRing() {
@@ -343,7 +341,8 @@ func (g *gossipRunner) rebuildRing() bool {
 	return true
 }
 
-// triggerSweep queues a background handoff sweep (single-flight).
+// triggerSweep queues a handoff pass on the sweep goroutine
+// (single-flight).
 func (g *gossipRunner) triggerSweep() {
 	select {
 	case g.sweepCh <- struct{}{}:
@@ -351,66 +350,28 @@ func (g *gossipRunner) triggerSweep() {
 	}
 }
 
-// sweepLoop runs queued handoff sweeps until ctx ends.
+// sweepLoop is the one background placement goroutine: a handoff pass
+// whenever a ring rebuild queued one, and an anti-entropy pass every
+// tick, until ctx ends. Sharing the goroutine keeps the two passes from
+// pushing the same keys at once.
 func (g *gossipRunner) sweepLoop(ctx context.Context) {
 	defer close(g.sweepDone)
+	var tick <-chan time.Time
+	if g.tick > 0 {
+		t := time.NewTicker(g.tick)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-g.sweepCh:
-			g.handoffSweep(ctx)
+			g.c.HandoffNow(ctx)
+		case <-tick:
+			g.c.AntiEntropyNow(ctx)
 		}
 	}
-}
-
-// handoffSweep re-offers every result this node holds to that result's
-// current rightful holders (the first max(replicas,1) nodes in its
-// rendezvous order under the live ring, self excluded). Receivers dedup
-// — 201 means the result was actually missing at its new home and is
-// counted as a migration; an unreachable or rejecting target counts as
-// unplaced so a drain can retry until clean. So does every result a
-// canceled sweep did not reach, and every held result when the ring is
-// empty (this node drained out of it and no peer is in it) while some
-// peer may yet return to take it: "no live target" is not "placed".
-func (g *gossipRunner) handoffSweep(ctx context.Context) (migrated, unplaced int) {
-	c := g.c
-	if c.results == nil {
-		return 0, 0
-	}
-	homeless := c.rv().ring.Len() == 0 && g.peerMayReturn()
-	keys := c.results.Keys()
-	for i, id := range keys {
-		if ctx.Err() != nil {
-			// An interrupted sweep has not placed what it did not reach.
-			return migrated, unplaced + len(keys) - i
-		}
-		res, ok := c.results.Get(id)
-		if !ok {
-			continue
-		}
-		if homeless {
-			unplaced++
-			continue
-		}
-		for _, p := range c.handoffTargets(id) {
-			if st, ok := g.view.State(p.ID); !ok || !st.Routable() {
-				unplaced++
-				continue
-			}
-			created, err := c.pushResult(ctx, p, res)
-			if err != nil {
-				c.metrics.HandoffFailed.Add(1)
-				unplaced++
-				continue
-			}
-			if created {
-				c.metrics.HandoffMigrated.Add(1)
-				migrated++
-			}
-		}
-	}
-	return migrated, unplaced
 }
 
 // peerMayReturn reports whether the view holds a peer that could yet
@@ -428,8 +389,8 @@ func (g *gossipRunner) peerMayReturn() bool {
 }
 
 // drain announces the drain, re-ranks the ring without this node, and
-// migrates every held result to its new home, retrying until a full
-// sweep places everything or ctx expires.
+// runs handoff passes until one places every held result or ctx
+// expires.
 func (g *gossipRunner) drain(ctx context.Context) (int, error) {
 	g.view.Drain()
 	g.syncStats()
@@ -437,11 +398,11 @@ func (g *gossipRunner) drain(ctx context.Context) (int, error) {
 	g.announce(ctx)
 	total := 0
 	// One ticker for the whole retry loop: time.After here would leak a
-	// timer per failed sweep until each fired.
+	// timer per unclean pass until each fired.
 	retry := time.NewTicker(g.interval)
 	defer retry.Stop()
 	for {
-		migrated, unplaced := g.handoffSweep(ctx)
+		migrated, unplaced := g.c.HandoffNow(ctx)
 		total += migrated
 		if unplaced == 0 {
 			return total, nil
@@ -489,24 +450,12 @@ func (c *Cluster) HandleGossip(ctx context.Context, msg GossipMsg) GossipAck {
 // actually created elsewhere. The node keeps serving (and finishing
 // in-flight work) throughout — drain changes ownership, not liveness.
 // An error means the handoff could not complete before ctx expired;
-// results already replicated elsewhere are still safe, and anti-entropy
-// on the survivors converges the rest.
+// results already placed elsewhere are still safe, and the survivors'
+// placement sweeps converge the rest.
 func (c *Cluster) Drain(ctx context.Context) (int, error) {
 	return c.gossip.drain(ctx)
 }
 
-// Draining reports whether this node has announced a drain.
-func (c *Cluster) Draining() bool { return c.gossip.draining() }
-
 // Leave announces clean departure to the cluster (best effort). Call
 // after the final handoff, immediately before process exit.
 func (c *Cluster) Leave(ctx context.Context) { c.gossip.leave(ctx) }
-
-// HandoffNow runs one synchronous handoff sweep and returns the number
-// of results newly placed elsewhere. The shutdown path calls it after
-// the HTTP server has quiesced so results completed during the drain
-// window migrate too.
-func (c *Cluster) HandoffNow(ctx context.Context) int {
-	migrated, _ := c.gossip.handoffSweep(ctx)
-	return migrated
-}

@@ -25,16 +25,16 @@ type Metrics struct {
 	// payload did not match the expected content address) — wire
 	// corruption converted into a retry instead of a wrong answer.
 	DigestRejected atomic.Int64
-	// Replicated counts completed results successfully pushed to a
-	// replica peer at completion time.
+	// Replicated counts copies the placement sweep created at a target
+	// when a compute triggered it.
 	Replicated atomic.Int64
 	// ReplicaHits counts requests answered from a peer's replica via
 	// GET /v1/results after the owner path failed — finished work a
 	// partition could not un-finish.
 	ReplicaHits atomic.Int64
-	// AntiEntropyRepaired counts results the anti-entropy loop found
-	// missing on a replica peer and re-pushed — the convergence signal
-	// after a partition heals.
+	// AntiEntropyRepaired counts copies the placement sweep created at a
+	// target on its periodic tick: results a target was missing, the
+	// convergence signal after a partition or a suspicion heals.
 	AntiEntropyRepaired atomic.Int64
 	// ReadRepaired counts locally corrupt or quarantined results healed
 	// by fetching a verified copy from the replica set on the read path
@@ -48,13 +48,14 @@ type Metrics struct {
 	// GossipRounds counts completed gossip protocol rounds (probe +
 	// dissemination) on this node.
 	GossipRounds atomic.Int64
-	// HandoffMigrated counts results this node pushed to a new home
-	// because ownership moved — a join re-ranked the ring, or this node
-	// drained — each one a recompute the cluster did not pay for.
+	// HandoffMigrated counts copies the placement sweep created at a
+	// target on a handoff pass: a ring change (a join re-ranked the
+	// ring), a drain, or HandoffNow — each one a recompute the cluster
+	// did not pay for.
 	HandoffMigrated atomic.Int64
-	// HandoffFailed counts handoff pushes that could not be delivered
-	// (target unreachable or rejecting); anti-entropy or a later sweep
-	// retries them.
+	// HandoffFailed counts handoff-pass pushes that could not be
+	// delivered (target unreachable or rejecting); the next tick, ring
+	// change or drain retry offers them again.
 	HandoffFailed atomic.Int64
 	// Suspected counts alive→suspect transitions in this node's gossip
 	// view, locally observed or merged from peers.

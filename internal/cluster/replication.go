@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"sync/atomic"
 
 	"repro/internal/jobs"
 )
@@ -16,44 +17,111 @@ import (
 // replica pushed by a peer (201 created, 200 already present).
 const ResultsPath = "/v1/results"
 
-// replicaTargets returns the peers (never self) that should hold a
-// replica of the result with the given content address: the first R
-// nodes in its rendezvous order, minus this node. Health is not
-// consulted — the full replica set is the contract; whether a given
-// push succeeds right now is the caller's (or anti-entropy's) problem.
-func (c *Cluster) replicaTargets(hash string) []Peer {
-	if c.replicas <= 1 {
-		return nil
-	}
-	return c.rankTargets(hash, c.replicas)
-}
-
-// handoffTargets returns the peers that should hold the result with the
-// given content address under the *current* ring, regardless of the
-// replication factor: even with replication off, a result whose
-// ownership moved (a join re-ranked it, or this node is draining) has
-// one rightful home, and handoff pushes it there instead of letting the
-// new owner recompute.
-func (c *Cluster) handoffTargets(hash string) []Peer {
-	return c.rankTargets(hash, max(c.replicas, 1))
-}
-
-// rankTargets returns the first n peers (never self) in the hash's
-// rendezvous order under the current ring view. Health is not consulted
-// — the target set is the contract; whether a given push succeeds right
-// now is the caller's (or anti-entropy's) problem.
-func (c *Cluster) rankTargets(hash string, n int) []Peer {
+// targets returns the peers (never self) that should hold the result
+// with the given content address under the current ring: its first
+// max(replicas, 1) rendezvous ranks, minus this node. Health is not
+// consulted — the target set is the contract; place decides which of
+// them a push may reach right now.
+func (c *Cluster) targets(hash string) []Peer {
 	rv := c.rv()
 	rank := rv.ring.Rank(hash)
-	n = min(n, len(rank))
-	out := make([]Peer, 0, n)
-	for _, id := range rank[:n] {
-		if id == c.self {
-			continue
+	rank = rank[:min(max(c.replicas, 1), len(rank))]
+	out := make([]Peer, 0, len(rank))
+	for _, id := range rank {
+		if id != c.self {
+			out = append(out, rv.peers[id])
 		}
-		out = append(out, rv.peers[id])
 	}
 	return out
+}
+
+// tally names the counters one trigger of place credits: each push
+// that created a copy at its target, and each push that failed (nil
+// for triggers that do not count failures).
+type tally struct{ created, failed *atomic.Int64 }
+
+// place is the one placement sweep: every key is pushed to each of its
+// targets, and the return counts the copies created there and the
+// (key, target) placements not made. A target the view does not hold
+// alive is skipped and counted unplaced, so no sweep waits out a
+// request timeout on a suspect, and a drain retries until the
+// suspicion resolves either way. When the ring is empty (this node
+// drained out of it and no peer is in it) while a peer may yet return,
+// every key counts unplaced: "no live target" is not "placed". So does
+// every key a canceled sweep did not reach. get reads a key's stored
+// bytes only once a target is usable; a key gone by then is skipped.
+func (c *Cluster) place(ctx context.Context, keys []string, get func(string) (*jobs.Stored, bool), t tally) (created, unplaced int) {
+	if c.rv().ring.Len() == 0 && c.gossip.peerMayReturn() {
+		return 0, len(keys)
+	}
+	for i, id := range keys {
+		if ctx.Err() != nil {
+			return created, unplaced + len(keys) - i
+		}
+		var st *jobs.Stored
+		for _, p := range c.targets(id) {
+			if !c.usable(p.ID) {
+				unplaced++
+				continue
+			}
+			if st == nil {
+				var ok bool
+				if st, ok = get(id); !ok {
+					break
+				}
+			}
+			fresh, err := c.pushResult(ctx, p, st)
+			switch {
+			case err != nil:
+				if t.failed != nil {
+					t.failed.Add(1)
+				}
+				unplaced++
+			case fresh:
+				t.created.Add(1)
+				created++
+			}
+		}
+	}
+	return created, unplaced
+}
+
+// sweep places every result this node holds.
+func (c *Cluster) sweep(ctx context.Context, t tally) (created, unplaced int) {
+	if c.results == nil {
+		return 0, 0
+	}
+	return c.place(ctx, c.results.Keys(), c.results.Get, t)
+}
+
+// Replicate places one freshly computed result (the compute trigger,
+// counted in cluster_replicated). It pushes the result it is handed,
+// so a cache eviction cannot drop the push. A target that misses it is
+// reached by a later tick or ring-change sweep. Meant to be called off
+// the response path.
+func (c *Cluster) Replicate(ctx context.Context, res *jobs.Stored) (created, unplaced int) {
+	if res == nil || res.ID == "" {
+		return 0, 0
+	}
+	held := func(string) (*jobs.Stored, bool) { return res, true }
+	return c.place(ctx, []string{res.ID}, held, tally{created: &c.metrics.Replicated})
+}
+
+// AntiEntropyNow runs one pass of the periodic tick: every held result
+// is offered to its targets again, and each copy a target was missing
+// counts in cluster_antientropy_repaired. Receivers dedup (200 against
+// 201), so a tick over a converged cluster only re-reads.
+func (c *Cluster) AntiEntropyNow(ctx context.Context) (repaired, unplaced int) {
+	return c.sweep(ctx, tally{created: &c.metrics.AntiEntropyRepaired})
+}
+
+// HandoffNow runs one handoff pass, the sweep a ring change and each
+// drain retry run: copies created count in cluster_handoff_migrated,
+// failed pushes in cluster_handoff_failed. The shutdown path calls it
+// after the HTTP server has quiesced, so results completed during the
+// drain window move too.
+func (c *Cluster) HandoffNow(ctx context.Context) (migrated, unplaced int) {
+	return c.sweep(ctx, tally{created: &c.metrics.HandoffMigrated, failed: &c.metrics.HandoffFailed})
 }
 
 // pushResult PUTs one result's stored bytes to one peer, stamped with
@@ -86,27 +154,6 @@ func (c *Cluster) pushResult(ctx context.Context, p Peer, st *jobs.Stored) (crea
 	}
 }
 
-// Replicate pushes a freshly completed result to its replica peers
-// (best effort — a peer that is down simply misses the push and is
-// healed later by anti-entropy). Meant to be called asynchronously
-// after local completion; it never blocks the response path.
-func (c *Cluster) Replicate(ctx context.Context, res *jobs.Stored) {
-	if res == nil || res.ID == "" {
-		return
-	}
-	targets := c.replicaTargets(res.ID)
-	if c.Draining() {
-		// A result completed during a drain must reach its new home even
-		// with replication off — the draining node's copy dies with it.
-		targets = c.handoffTargets(res.ID)
-	}
-	for _, p := range targets {
-		if created, err := c.pushResult(ctx, p, res); err == nil && created {
-			c.metrics.Replicated.Add(1)
-		}
-	}
-}
-
 // FetchResult asks this result's replica peers for an already-computed
 // copy over GET /v1/results/{addr}, digest-verified. Every replica-set
 // peer except self is asked regardless of health: replica reads are
@@ -114,7 +161,10 @@ func (c *Cluster) Replicate(ctx context.Context, res *jobs.Stored) {
 // accept work can still answer one. Returns (nil, false) when no peer
 // holds the result — the caller computes locally.
 func (c *Cluster) FetchResult(ctx context.Context, hash string) (*jobs.Stored, bool) {
-	for _, p := range c.replicaTargets(hash) {
+	if c.replicas <= 1 {
+		return nil, false
+	}
+	for _, p := range c.targets(hash) {
 		res, err := c.fetchFrom(ctx, p, hash)
 		if err != nil || res == nil {
 			continue
@@ -176,36 +226,4 @@ func (c *Cluster) ReadRepair(ctx context.Context, hash string) (*jobs.Stored, bo
 // has no peer to be repaired from and /healthz should say so.
 func (c *Cluster) ReplicationEnabled() bool {
 	return c != nil && c.replicas > 1
-}
-
-// AntiEntropyNow runs one repair sweep: every result this node holds
-// whose replica set includes peers is re-pushed to the currently usable
-// ones. Receivers dedup (200 vs 201), so a sweep over an already
-// converged cluster is read-only chatter; each 201 — a replica that was
-// actually missing — is counted in cluster_antientropy_repaired.
-// Returns the number of replicas repaired.
-func (c *Cluster) AntiEntropyNow(ctx context.Context) int {
-	if c.results == nil || c.replicas <= 1 {
-		return 0
-	}
-	repaired := 0
-	for _, id := range c.results.Keys() {
-		if ctx.Err() != nil {
-			return repaired
-		}
-		res, ok := c.results.Get(id)
-		if !ok {
-			continue
-		}
-		for _, p := range c.replicaTargets(id) {
-			if !c.usable(p.ID) {
-				continue // unreachable now; a later sweep will retry
-			}
-			if created, err := c.pushResult(ctx, p, res); err == nil && created {
-				c.metrics.AntiEntropyRepaired.Add(1)
-				repaired++
-			}
-		}
-	}
-	return repaired
 }

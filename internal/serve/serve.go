@@ -54,7 +54,7 @@ type Options struct {
 	// CorruptThreshold is how many quarantined (condemned, unrepaired)
 	// store records /healthz tolerates before degrading — but only when
 	// no replica repair path exists (no cluster, or replication factor
-	// 1): with replicas, read-repair and anti-entropy heal quarantined
+	// 1): with replicas, read-repair and the placement tick heal quarantined
 	// records as a matter of course, while without them every
 	// quarantined record is a recompute waiting to happen and operators
 	// should know. Default 0 (any unrepairable quarantined record
@@ -300,12 +300,12 @@ func (h *handler) submit(kind jobs.Kind) http.HandlerFunc {
 			return
 		}
 		if h.cluster != nil && ans.By == jobs.ServedCompute {
-			// Freshly computed: push copies to the replica peers off the
-			// response path. Every other answer was replicated when it
-			// was computed (or arrived via replication itself). The push
-			// is bg-tracked so Quiesce can wait for it at shutdown, and
-			// bounded by its own timeout rather than the dead request
-			// context.
+			// Freshly computed: place the result at its rendezvous
+			// targets off the response path. Every other answer was
+			// placed when it was computed (or arrived by placement
+			// itself). The push is bg-tracked so Quiesce can wait for it
+			// at shutdown, and bounded by its own timeout rather than the
+			// dead request context.
 			h.bg.Add(1)
 			go func() {
 				defer h.bg.Done()
