@@ -54,6 +54,8 @@ type node struct {
 	// client canceled the request mid-delay — how a test observes that a
 	// losing hedge leg was actually canceled, not just ignored.
 	abortedDelays atomic.Int64
+	// forwardedPosts counts job submissions a peer forwarded here.
+	forwardedPosts atomic.Int64
 	// puts counts replica pushes (PUT requests) the node received.
 	puts atomic.Int64
 }
@@ -66,6 +68,9 @@ func (n *node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		n.puts.Add(1)
 	}
 	if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/") {
+		if r.Header.Get(cluster.ForwardedHeader) != "" {
+			n.forwardedPosts.Add(1)
+		}
 		if d := n.delayPosts.Load(); d > 0 {
 			// Drain the body first: the server's client-disconnect watcher
 			// stays unarmed while the body is unread, and the watcher is
@@ -344,6 +349,103 @@ func TestChaosClusterHedged(t *testing.T) {
 			if hedged < int64(len(specs)) {
 				t.Errorf("cluster_hedged = %d, want >= %d (one hedge per slow-owner spec)",
 					hedged, len(specs))
+			}
+		})
+	}
+}
+
+// TestForwardFailover pins Forward's failover with hedging off (the
+// default the other cluster tests run with): the targets are asked in
+// rank order, and the next is asked only after an availability error.
+// Each row boots a fresh 3-node cluster and submits at rank[2], so the
+// forward chain is rank[0], rank[1].
+func TestForwardFailover(t *testing.T) {
+	frac := 0.5
+	good := clusterBatch(23)[0]
+	// Valid at decode time on the entry node, rejected at resolve time
+	// inside the owner's pool: best-practice has no domino cells.
+	bad := jobs.Spec{
+		Kind:        jobs.KindEvaluate,
+		Design:      jobs.DesignSpec{Name: "cla"},
+		Methodology: jobs.MethSpec{Base: "best-practice", DominoFrac: &frac},
+	}
+	cases := []struct {
+		name          string
+		spec          jobs.Spec
+		fault         func(owner *node)
+		wantStatus    int
+		wantOwner     int64 // forwarded job posts the owner received
+		wantNext      int64 // forwarded job posts rank[1] received
+		wantFwdErrors int64
+		wantSuspect   bool
+	}{
+		{
+			name:       "slow owner is waited on",
+			spec:       good,
+			fault:      func(o *node) { o.delayPosts.Store(int64(200 * time.Millisecond)) },
+			wantStatus: http.StatusOK, wantOwner: 1,
+		},
+		{
+			name:       "transport error fails over to rank 1",
+			spec:       good,
+			fault:      func(o *node) { o.abortPosts.Store(true) },
+			wantStatus: http.StatusOK, wantOwner: 1, wantNext: 1, wantFwdErrors: 1, wantSuspect: true,
+		},
+		{
+			name:       "peer spec verdict is relayed without failover",
+			spec:       bad,
+			wantStatus: http.StatusBadRequest, wantOwner: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := startCluster(t, 3, nil)
+			rank := nodes[0].clu.Ring().Rank(tc.spec.Hash())
+			owner, next, entry := byID(t, nodes, rank[0]), byID(t, nodes, rank[1]), byID(t, nodes, rank[2])
+			if tc.fault != nil {
+				tc.fault(owner)
+			}
+
+			body, err := json.Marshal(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(entry.srv.URL+"/v1/"+string(tc.spec.Kind), "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.wantStatus {
+				t.Errorf("status %d, want %d", resp.StatusCode, tc.wantStatus)
+			}
+			if got := owner.forwardedPosts.Load(); got != tc.wantOwner {
+				t.Errorf("owner received %d forwarded posts, want %d", got, tc.wantOwner)
+			}
+			if got := next.forwardedPosts.Load(); got != tc.wantNext {
+				t.Errorf("rank 1 received %d forwarded posts, want %d", got, tc.wantNext)
+			}
+
+			var metrics struct {
+				Cluster struct {
+					ForwardErrors int64 `json:"forward_errors"`
+				} `json:"cluster"`
+			}
+			mresp, err := http.Get(entry.srv.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(mresp.Body).Decode(&metrics)
+			mresp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := metrics.Cluster.ForwardErrors; got != tc.wantFwdErrors {
+				t.Errorf("forward_errors = %d, want %d", got, tc.wantFwdErrors)
+			}
+			m, _ := memberRecord(entry, owner.id)
+			if suspect := m.State == gossip.StateSuspect; suspect != tc.wantSuspect {
+				t.Errorf("owner state %s, want suspect=%v", m.State, tc.wantSuspect)
 			}
 		})
 	}

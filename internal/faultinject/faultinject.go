@@ -6,8 +6,9 @@
 // (cooperative and non-cooperative), context-cancellation storms, and
 // simulated process kills. Each kind drives one path of the job layer:
 // errors, panics and cancellations give a terminal failure that is never
-// cached, stalls trigger the watchdog, latency holds workers busy for
-// the overload and drain tests, and kills trigger journal replay.
+// cached, stalls are non-cooperative slow stages the watchdog reclaims,
+// latency holds workers busy for the overload and drain tests, and kills
+// trigger journal replay.
 //
 // Determinism is the point: a fault decision is a pure function of
 // (plan seed, site key), where the site key names a (job, stage) pair.
@@ -55,7 +56,7 @@ const (
 	// cancellation (a slow dependency, not a wedged one).
 	Latency
 	// Stall: the site sleeps Plan.Latency ignoring the context — a
-	// wedged evaluation only the pool watchdog can reclaim.
+	// non-cooperative slow stage; the pool watchdog reclaims its slot.
 	Stall
 	// Cancel: the site reports context.Canceled as if a cancellation
 	// storm had swept the job mid-flight while its caller still waits.
@@ -212,7 +213,7 @@ func (in *Injector) Fire(ctx context.Context, key string) error {
 		}
 	case Stall:
 		in.Stalls.Add(1)
-		time.Sleep(in.plan.Latency) // deliberately ignores ctx: a wedged worker
+		time.Sleep(in.plan.Latency) // deliberately ignores ctx: a non-cooperative stage
 	case Cancel:
 		in.Cancels.Add(1)
 		return fmt.Errorf("injected cancellation storm at %s: %w", key, context.Canceled)
